@@ -1,12 +1,15 @@
 // Wall-clock microbenchmarks (google-benchmark) of the CHAOS++ primitives
 // themselves: inspector hashing (cold and warm), schedule generation,
-// transport, light-weight schedules, and the partitioners. These measure
+// transport, light-weight schedules, the partitioners, and the CHARMM
+// non-bonded list kernel. These measure
 // the real implementation on the host, complementing the modeled-time
 // table harnesses.
 #include <benchmark/benchmark.h>
 
 #include <numeric>
 
+#include "apps/charmm/neighbor.hpp"
+#include "apps/charmm/system.hpp"
 #include "core/chaos.hpp"
 #include "util/rng.hpp"
 
@@ -160,6 +163,31 @@ void BM_TranslationLookupDistributed(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 5000 * P);
 }
 BENCHMARK(BM_TranslationLookupDistributed);
+
+void BM_NonbondedList(benchmark::State& state) {
+  // The md benchmark's system (6000 atoms, box 30, cutoff 6) and one rank's
+  // share of a 4-way split: a quarter of the rows, with bonded exclusions.
+  charmm::SystemParams p;
+  p.n_atoms = 6000;
+  p.box = 30.0;
+  p.cutoff = 6.0;
+  p.seed = 1;
+  const auto sys = charmm::MolecularSystem::generate(p);
+  std::vector<GlobalIndex> rows(sys.size() / 4);
+  std::iota(rows.begin(), rows.end(), GlobalIndex{0});
+  charmm::NeighborBuildStats stats;
+  for (auto _ : state) {
+    auto list = charmm::build_nonbonded_list(sys.pos, rows, p.cutoff, p.box,
+                                             &stats, sys.bonds);
+    benchmark::DoNotOptimize(list.jnb.data());
+  }
+  // The inverted candidate rate: wall time per candidate (printed in ns).
+  state.counters["time_per_candidate"] = benchmark::Counter(
+      static_cast<double>(stats.candidates_examined) *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_NonbondedList)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

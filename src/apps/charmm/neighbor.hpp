@@ -25,15 +25,23 @@ struct NonbondedList {
 };
 
 /// Statistics from one list build (used to charge the cost model).
+///
+/// `candidates_examined` is the modeled work, not a count of distance
+/// tests: over the 27 periodic stencil visits of every row atom i, it adds
+/// the atoms j > i in the visited cell, counting a cell again each time a
+/// coarse grid (n <= 2 cells per dimension) visits it again. The kernel
+/// may run fewer distance tests than that; the count, and so the work
+/// charged to the cost model, depends only on positions, rows and cutoff.
 struct NeighborBuildStats {
   std::size_t candidates_examined = 0;
-  std::size_t pairs_kept = 0;
+  std::size_t pairs_kept = 0;  ///< jnb.size()
 };
 
-/// Build the half non-bonded list for the atoms in `rows` (global ids),
-/// searching against all positions via a cell grid of cell size >= cutoff.
-/// Pairs listed in `exclusions` (i < j; typically the bonded topology, as
-/// in real CHARMM) are omitted. Positions must be inside [0, box)^3.
+/// Build the half non-bonded list for the atoms in `rows` (global ids, any
+/// order), searching against all positions via a cell grid of cell size
+/// >= cutoff. Pairs listed in `exclusions` (typically the bonded topology,
+/// as in real CHARMM) are omitted; each must satisfy 0 <= i < j <
+/// all_pos.size(), else chaos::Error. Positions must be inside [0, box)^3.
 /// Deterministic: partners appear in ascending global id order.
 NonbondedList build_nonbonded_list(
     std::span<const part::Point3> all_pos,

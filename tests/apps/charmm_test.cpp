@@ -7,15 +7,47 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <utility>
 
 #include "apps/charmm/forces.hpp"
 #include "apps/charmm/neighbor.hpp"
 #include "apps/charmm/parallel.hpp"
 #include "apps/charmm/sequential.hpp"
 #include "apps/charmm/system.hpp"
+#include "support/reference_neighbor.hpp"
+#include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace chaos::charmm {
 namespace {
+
+using testing_support::reference_atom_load;
+using testing_support::reference_nonbonded_list;
+
+std::vector<GlobalIndex> all_rows(std::size_t n) {
+  std::vector<GlobalIndex> rows(n);
+  std::iota(rows.begin(), rows.end(), GlobalIndex{0});
+  return rows;
+}
+
+// The list, its stats and the load estimate all equal the reference sweep
+// bit for bit.
+void expect_matches_reference(const MolecularSystem& s,
+                              std::span<const GlobalIndex> rows,
+                              double cutoff) {
+  const double box = s.params.box;
+  NeighborBuildStats got_stats, want_stats;
+  const auto got =
+      build_nonbonded_list(s.pos, rows, cutoff, box, &got_stats, s.bonds);
+  const auto want = reference_nonbonded_list(s.pos, rows, cutoff, box,
+                                             &want_stats, s.bonds);
+  EXPECT_EQ(got.inblo, want.inblo);
+  EXPECT_EQ(got.jnb, want.jnb);
+  EXPECT_EQ(got_stats.candidates_examined, want_stats.candidates_examined);
+  EXPECT_EQ(got_stats.pairs_kept, want_stats.pairs_kept);
+  EXPECT_EQ(estimate_atom_load(s.pos, rows, cutoff, box),
+            reference_atom_load(s.pos, rows, cutoff, box));
+}
 
 TEST(System, GenerationIsDeterministic) {
   auto a = MolecularSystem::generate(SystemParams::small(120));
@@ -95,11 +127,70 @@ TEST(Neighbor, StatsCountCandidates) {
   auto s = MolecularSystem::generate(SystemParams::small(100));
   std::vector<GlobalIndex> rows(s.size());
   std::iota(rows.begin(), rows.end(), GlobalIndex{0});
-  NeighborBuildStats stats;
+  NeighborBuildStats stats, want;
   auto list =
       build_nonbonded_list(s.pos, rows, s.params.cutoff, s.params.box, &stats);
-  EXPECT_GE(stats.candidates_examined, list.pairs());
+  reference_nonbonded_list(s.pos, rows, s.params.cutoff, s.params.box, &want);
+  EXPECT_EQ(stats.candidates_examined, want.candidates_examined);
   EXPECT_EQ(stats.pairs_kept, list.pairs());
+}
+
+TEST(Neighbor, MatchesReferenceOnMdSystemRowBlocks) {
+  // The benchmark's md system (6000 atoms, box 30, cutoff 6: 5 cells per
+  // dimension), its rows split into 4 blocks as 4 ranks would own them.
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SystemParams p;
+    p.n_atoms = 6000;
+    p.box = 30.0;
+    p.cutoff = 6.0;
+    p.seed = seed;
+    const auto s = MolecularSystem::generate(p);
+    const auto rows = all_rows(s.size());
+    for (std::size_t b = 0; b < 4; ++b) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " block " << b);
+      expect_matches_reference(
+          s,
+          std::span(rows).subspan(b * rows.size() / 4, rows.size() / 4),
+          p.cutoff);
+    }
+  }
+}
+
+TEST(Neighbor, MatchesReferenceOnCoarseGrids) {
+  // Box 16: cutoffs 5, 7 and 12 give 3, 2 and 1 list cells per dimension,
+  // where the periodic stencil visits cells more than once; 28 and 40 take
+  // the load estimate's quarter-cutoff grid down to 2 and 1.
+  const auto s = MolecularSystem::generate(SystemParams::small(300));
+  const auto rows = all_rows(s.size());
+  for (double cutoff : {5.0, 7.0, 12.0, 28.0, 40.0}) {
+    SCOPED_TRACE(::testing::Message() << "cutoff " << cutoff);
+    expect_matches_reference(s, rows, cutoff);
+  }
+}
+
+TEST(Neighbor, MatchesReferenceOnUnsortedSubsetRows) {
+  const auto s = MolecularSystem::generate(SystemParams::small(400, 11));
+  std::vector<GlobalIndex> rows;
+  for (GlobalIndex g = 0; g < static_cast<GlobalIndex>(s.size()); g += 3)
+    rows.push_back(g);
+  Rng rng(5);
+  for (std::size_t k = rows.size(); k > 1; --k)
+    std::swap(rows[k - 1], rows[rng.below(k)]);
+  expect_matches_reference(s, rows, s.params.cutoff);
+}
+
+TEST(Neighbor, MalformedExclusionsThrow) {
+  const auto s = MolecularSystem::generate(SystemParams::small(100));
+  const auto rows = all_rows(s.size());
+  const auto n = static_cast<GlobalIndex>(s.size());
+  using Pair = std::pair<GlobalIndex, GlobalIndex>;
+  for (const Pair& bad : {Pair{9, 4}, Pair{4, 4}, Pair{-1, 4}, Pair{4, n}}) {
+    const std::vector<Pair> excl{{0, 1}, bad};
+    EXPECT_THROW(build_nonbonded_list(s.pos, rows, s.params.cutoff,
+                                      s.params.box, nullptr, excl),
+                 chaos::Error)
+        << bad.first << "," << bad.second;
+  }
 }
 
 TEST(Forces, NonbondedZeroBeyondCutoff) {

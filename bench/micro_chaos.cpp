@@ -1,16 +1,19 @@
 // Wall-clock microbenchmarks (google-benchmark) of the CHAOS++ primitives
 // themselves: inspector hashing (cold and warm), schedule generation,
-// transport, light-weight schedules, the partitioners, and the CHARMM
-// non-bonded list kernel. These measure
+// transport, light-weight schedules, the partitioners, the CHARMM
+// non-bonded list kernel, and cross-epoch seeding. These measure
 // the real implementation on the host, complementing the modeled-time
 // table harnesses.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <numeric>
 
 #include "apps/charmm/neighbor.hpp"
 #include "apps/charmm/system.hpp"
 #include "core/chaos.hpp"
+#include "lang/distribution.hpp"
+#include "runtime/schedule_registry.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -67,6 +70,92 @@ void BM_HashWarmRehash(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_HashWarmRehash)->Arg(10000)->Arg(100000);
+
+// md's non-bonded reference stream on one of four ranks: ~200k refs over
+// ~4.1k distinct globals (a 1500-element slab plus a 1300-element halo on
+// each side), each global repeated ~50 times in random order.
+constexpr int kMdRanks = 4;
+constexpr GlobalIndex kMdAtoms = 6000;
+constexpr GlobalIndex kMdSlab = kMdAtoms / kMdRanks;
+constexpr std::size_t kMdRefs = 200000;
+
+std::vector<GlobalIndex> md_ref_stream(int rank) {
+  constexpr GlobalIndex halo = 1300;
+  Rng rng(static_cast<std::uint64_t>(rank) + 1);
+  std::vector<GlobalIndex> refs(kMdRefs);
+  const GlobalIndex first = rank * kMdSlab - halo;
+  for (GlobalIndex& g : refs)
+    g = (first + kMdAtoms +
+         static_cast<GlobalIndex>(rng.below(kMdSlab + 2 * halo))) %
+        kMdAtoms;
+  return refs;
+}
+
+void BM_HashRehashDuplicates(benchmark::State& state) {
+  // Re-inspection of a duplicate-heavy stream: every reference hits.
+  sim::Machine machine(1);
+  machine.run([&](sim::Comm& comm) {
+    std::vector<int> map(static_cast<size_t>(kMdAtoms), 0);
+    auto table = core::TranslationTable::from_full_map(comm, map);
+    core::IndexHashTable hash(kMdAtoms);
+    const std::vector<GlobalIndex> stream = md_ref_stream(1);
+    std::vector<GlobalIndex> refs = stream;
+    hash.hash(comm, table, refs);
+    for (auto _ : state) {
+      refs = stream;
+      const core::Stamp s = hash.hash(comm, table, refs);
+      hash.clear_stamp(s);
+      benchmark::DoNotOptimize(refs.data());
+    }
+  });
+  state.counters["time_per_ref"] = benchmark::Counter(
+      static_cast<double>(kMdRefs) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_HashRehashDuplicates)->Unit(benchmark::kMicrosecond);
+
+void BM_SeedFromRepartition(benchmark::State& state) {
+  // An RCB-style boundary move (every slab boundary shifts by 150 atoms, so
+  // only rank 0's offsets survive) seeds the next epoch's registry from the
+  // md-shaped stream above. Times seed_from alone, per rank in parallel.
+  std::vector<int> before(static_cast<size_t>(kMdAtoms));
+  std::vector<int> after(before.size());
+  for (GlobalIndex g = 0; g < kMdAtoms; ++g) {
+    before[static_cast<size_t>(g)] = static_cast<int>(g / kMdSlab);
+    after[static_cast<size_t>(g)] = static_cast<int>(
+        std::min<GlobalIndex>(kMdRanks - 1, (g + kMdSlab / 10) / kMdSlab));
+  }
+  const core::OwnerDelta delta = core::OwnerDelta::compute(before, after);
+  sim::Machine machine(kMdRanks);
+  for (auto _ : state) {
+    double seconds = 0;
+    machine.run([&](sim::Comm& comm) {
+      const auto d0 = lang::Distribution::irregular(comm, before);
+      const auto d1 = lang::Distribution::irregular(comm, after);
+      lang::IndirectionArray ind;
+      ind.assign(md_ref_stream(comm.rank()));
+      runtime::ScheduleRegistry prior, next;
+      prior.plan(comm, d0, ind);
+      comm.barrier();
+      const auto t0 = std::chrono::steady_clock::now();
+      next.seed_from(comm, d1, prior, delta);
+      comm.barrier();
+      GlobalIndex extent = next.local_extent();
+      benchmark::DoNotOptimize(extent);
+      if (comm.rank() == 0)
+        seconds = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+    });
+    state.SetIterationTime(seconds);
+  }
+  state.counters["time_per_ref"] = benchmark::Counter(
+      static_cast<double>(kMdRefs) * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SeedFromRepartition)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ScheduleBuildAndGather(benchmark::State& state) {
   const GlobalIndex n = state.range(0);

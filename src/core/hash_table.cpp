@@ -65,32 +65,38 @@ IndexHashTable::SeedResult IndexHashTable::seed_ref(int self_rank,
                                                     bool carried) {
   if (entries_.size() * 10 >= index_.size() * 7) grow();
   const std::size_t at = probe(g);
-  if (index_[at] >= 0) {
-    Entry& e = entries_[static_cast<std::size_t>(index_[at])];
-    e.stamps |= stamp;
-    ++stats_.hits;
-    return SeedResult{e.local_index, false};
-  }
+  CHAOS_ASSERT(index_[at] < 0, "global already seeded; use stamp_entry");
   CHAOS_ASSERT(home.proc >= 0, "seeding a new entry requires a Home");
-  const std::int32_t id = static_cast<std::int32_t>(entries_.size());
+  const std::size_t id = entries_.size();
   const GlobalIndex local =
       home.proc == self_rank ? home.offset : owned_ + next_ghost_slot_++;
   entries_.push_back(Entry{g, home, local, stamp});
-  index_[at] = id;
+  index_[at] = static_cast<std::int32_t>(id);
   ++stats_.inserts;
   if (carried) ++stats_.reused_homes;
-  return SeedResult{local, true};
+  return SeedResult{id, local};
+}
+
+GlobalIndex IndexHashTable::stamp_entry(std::size_t id, Stamp stamp) {
+  // Grow exactly when a probing hit would have, so the table's footprint
+  // does not depend on whether repeat references probe.
+  if (entries_.size() * 10 >= index_.size() * 7) grow();
+  Entry& e = entries_[id];
+  e.stamps |= stamp;
+  ++stats_.hits;
+  return e.local_index;
 }
 
 Stamp IndexHashTable::hash(sim::Comm& comm, const TranslationTable& table,
                            std::span<GlobalIndex> indices) {
   const Stamp stamp = allocate_stamp();
 
-  // Pass 1: enter indices; collect globals that need translation.
+  // Pass 1: enter indices, overwriting each with its entry id; collect
+  // globals that need translation.
   std::vector<GlobalIndex> unknown;
   std::vector<std::int32_t> unknown_ids;
   double hit_work = 0.0, insert_work = 0.0;
-  for (GlobalIndex g : indices) {
+  for (GlobalIndex& g : indices) {
     if (entries_.size() * 10 >= index_.size() * 7) grow();
     const std::size_t at = probe(g);
     if (index_[at] >= 0) {
@@ -99,14 +105,14 @@ Stamp IndexHashTable::hash(sim::Comm& comm, const TranslationTable& table,
       ++stats_.hits;
       hit_work += costs::kHashHit;
     } else {
-      const std::int32_t id = static_cast<std::int32_t>(entries_.size());
+      index_[at] = static_cast<std::int32_t>(entries_.size());
       entries_.push_back(Entry{g, Home{}, -1, stamp});
-      index_[at] = id;
       unknown.push_back(g);
-      unknown_ids.push_back(id);
+      unknown_ids.push_back(index_[at]);
       ++stats_.inserts;
       insert_work += costs::kHashInsert;
     }
+    g = index_[at];
   }
   comm.charge_work(hit_work + insert_work);
 
@@ -123,12 +129,9 @@ Stamp IndexHashTable::hash(sim::Comm& comm, const TranslationTable& table,
                                                  : owned_ + next_ghost_slot_++;
   }
 
-  // Pass 2: rewrite the indirection array to local indices.
-  for (GlobalIndex& g : indices) {
-    const std::size_t at = probe(g);
-    CHAOS_ASSERT(index_[at] >= 0);
-    g = entries_[static_cast<std::size_t>(index_[at])].local_index;
-  }
+  // Pass 2: rewrite the entry ids to local indices (no second probe).
+  for (GlobalIndex& g : indices)
+    g = entries_[static_cast<std::size_t>(g)].local_index;
   return stamp;
 }
 

@@ -73,25 +73,33 @@ class IndexHashTable {
   // it stable. Seeding reproduces exactly the entry/slot/stamp state a
   // cold inspector pass over the same references would build — ghost slots
   // are assigned in the same first-encounter order — which is what the
-  // randomized equivalence suite asserts.
+  // randomized equivalence suite asserts. The registry decides stability
+  // once per prior entry; the first reference to a global inserts it
+  // (seed_ref, one probe) and every later one is stamped straight into the
+  // remembered entry (stamp_entry, no probe). Seeding therefore costs
+  // O(prior entries · log |delta|) + O(refs), with no per-reference search.
 
   /// Take the lowest free stamp bit (the same allocation policy hash()
   /// uses) without hashing anything. The caller seeds entries under it via
-  /// seed_ref().
+  /// seed_ref() and stamp_entry().
   Stamp allocate_stamp();
 
   struct SeedResult {
+    std::size_t id = 0;  ///< entry id, for later stamp_entry() calls
     GlobalIndex local_index = -1;
-    bool inserted = false;  ///< false: entry existed, stamp was OR'd in
   };
 
-  /// Seed one reference: if `g` is already present, OR `stamp` into its
-  /// entry; otherwise insert it with `home` (no translation-table lookup —
+  /// Seed the first reference to `g`, which must not be present yet:
+  /// insert it with `home` and `stamp` (no translation-table lookup —
   /// `carried` says whether the home was reused from the prior epoch, for
-  /// stats). Returns the entry's local index, exactly as hash() would have
-  /// assigned it on a rank whose id is `self_rank`.
+  /// stats). The local index is exactly what hash() would have assigned on
+  /// a rank whose id is `self_rank`.
   SeedResult seed_ref(int self_rank, GlobalIndex g, const Home& home,
                       Stamp stamp, bool carried);
+
+  /// Seed a repeat reference to entry `id` (from seed_ref): OR `stamp` into
+  /// it, count a hit, and return its local index.
+  GlobalIndex stamp_entry(std::size_t id, Stamp stamp);
 
   /// All entries in insertion order, including dead ones (stamps == 0).
   std::span<const Entry> entries() const { return entries_; }

@@ -32,16 +32,21 @@ struct ElementRecord {
 // The weighted-median searches of parallel recursive bisection: each of the
 // log2(P) levels runs a handful of machine-wide reductions of per-processor
 // weight counts (payload proportional to P). Data content is irrelevant
-// (the partition itself is computed deterministically below); the
-// collectives charge the model what the parallel algorithm pays — this is
-// the P-growing term that makes recursive bisection lose to the chain
-// partitioner at scale (Tables 2 and 5).
+// (the partition itself is computed deterministically below); the rounds
+// charge the model what the parallel algorithm pays — this is the P-growing
+// term that makes recursive bisection lose to the chain partitioner at
+// scale (Tables 2 and 5). One real allgather is the synchronisation point;
+// every rank leaves it at the same clock, so the remaining rounds are
+// replayed analytically with exactly the clock and comm_s arithmetic a
+// real allgather would perform.
 void charge_bisection_rounds(sim::Comm& comm) {
-  const int levels = sim::hypercube_steps(comm.size());
   constexpr int kMedianIterations = 24;
-  for (int l = 0; l < levels; ++l)
-    for (int it = 0; it < kMedianIterations; ++it)
-      (void)comm.allgather(0.0);
+  const int rounds = sim::hypercube_steps(comm.size()) * kMedianIterations;
+  if (rounds == 0) return;
+  (void)comm.allgather(0.0);
+  const double round_cost = comm.model().allgather_cost(
+      comm.size(), static_cast<std::uint64_t>(comm.size()) * sizeof(double));
+  for (int r = 1; r < rounds; ++r) comm.wait_until(comm.now() + round_cost);
 }
 
 }  // namespace

@@ -211,16 +211,30 @@ void ScheduleRegistry::seed_from(sim::Comm& comm,
   const int me = comm.rank();
 
   // Resolve prior localized refs back to (global, old Home): old local
-  // indices are unique across live and dead entries until compact(), so a
-  // flat reverse table suffices.
-  std::vector<const core::IndexHashTable::Entry*> rev(
-      static_cast<std::size_t>(prior.hash_->local_extent()), nullptr);
-  for (const core::IndexHashTable::Entry& e : prior.hash_->entries())
-    rev[static_cast<std::size_t>(e.local_index)] = &e;
+  // indices are unique across live and dead entries until compact(), so
+  // flat tables indexed by old local index suffice. Stability (and, for
+  // dynamic deltas, deletion) is decided once per prior entry, so seeding
+  // costs O(prior entries · log |delta|) + O(refs), with no per-reference
+  // search: each ref then reads its flags, and after its first seeding it
+  // stamps the memoized new entry directly.
+  const auto extent = static_cast<std::size_t>(prior.hash_->local_extent());
+  std::vector<const core::IndexHashTable::Entry*> rev(extent, nullptr);
+  std::vector<std::uint8_t> stable(extent, 0), deleted(extent, 0);
+  for (const core::IndexHashTable::Entry& e : prior.hash_->entries()) {
+    const auto lr = static_cast<std::size_t>(e.local_index);
+    rev[lr] = &e;
+    stable[lr] = delta.home_stable(e.global);
+    deleted[lr] = delta.is_dynamic() && delta.deleted(e.global);
+  }
 
-  // Old local index -> new local index, filled as refs are seeded; rewrites
-  // the recv side of carried schedules.
-  std::vector<GlobalIndex> local_remap(rev.size(), -1);
+  // Per old local index: the new entry id once seeded (kQueued while its
+  // re-translation is pending), the re-translated Home of an unstable
+  // entry, and the new local index, which rewrites the recv side of
+  // carried schedules.
+  constexpr std::ptrdiff_t kUnseeded = -1, kQueued = -2;
+  std::vector<std::ptrdiff_t> new_id(extent, kUnseeded);
+  std::vector<core::Home> fresh_home(extent);
+  std::vector<GlobalIndex> local_remap(extent, -1);
 
   // Replay loops in first-plan order: ghost slots are then assigned in
   // exactly the first-encounter order a cold replay of the same plan calls
@@ -233,6 +247,7 @@ void ScheduleRegistry::seed_from(sim::Comm& comm,
 
   for (const auto& [ord, id] : order_ids) {
     const CachedLoop& pl = prior.loops_.at(id);
+    const std::vector<GlobalIndex>& refs = pl.plan.local_refs;
 
     // Dynamic epochs: a loop whose reference stream touches a deleted
     // element has no valid access set anymore — drop it machine-wide
@@ -241,14 +256,10 @@ void ScheduleRegistry::seed_from(sim::Comm& comm,
     // sequence aligned; it only runs for dynamic deltas, so pure
     // repartitions pay nothing new.
     if (delta.is_dynamic()) {
-      bool touches_deleted = false;
-      for (GlobalIndex lr : pl.plan.local_refs) {
-        const auto* e = rev[static_cast<std::size_t>(lr)];
-        if (delta.deleted(e->global)) {
-          touches_deleted = true;
-          break;
-        }
-      }
+      const bool touches_deleted =
+          std::any_of(refs.begin(), refs.end(), [&](GlobalIndex lr) {
+            return deleted[static_cast<std::size_t>(lr)] != 0;
+          });
       if (comm.allreduce_max(touches_deleted ? 1 : 0) == 1) {
         ++stats_.dropped_plans;
         continue;
@@ -257,21 +268,31 @@ void ScheduleRegistry::seed_from(sim::Comm& comm,
 
     const core::Stamp stamp = hash_->allocate_stamp();
 
-    // Pass A: collect the unstable refs that are not yet seeded; only they
-    // need a lookup through the new table (collective when distributed —
-    // every rank participates per loop, possibly with an empty batch).
+    // Pass A: collect the unstable entries not yet seeded, once each; only
+    // they need a lookup through the new table (collective when
+    // distributed — every rank participates per loop, possibly with an
+    // empty batch). The batch is ascending by global.
     bool loop_stable = true;
-    std::vector<GlobalIndex> unknown;
-    for (GlobalIndex lr : pl.plan.local_refs) {
-      const auto* e = rev[static_cast<std::size_t>(lr)];
-      if (delta.home_stable(e->global)) continue;
+    std::vector<std::size_t> queued;
+    for (GlobalIndex lr : refs) {
+      const auto at = static_cast<std::size_t>(lr);
+      if (stable[at]) continue;
       loop_stable = false;
-      if (hash_->find(e->global) == nullptr) unknown.push_back(e->global);
+      if (new_id[at] != kUnseeded) continue;
+      new_id[at] = kQueued;
+      queued.push_back(at);
     }
-    std::sort(unknown.begin(), unknown.end());
-    unknown.erase(std::unique(unknown.begin(), unknown.end()), unknown.end());
+    std::sort(queued.begin(), queued.end(),
+              [&](std::size_t a, std::size_t b) {
+                return rev[a]->global < rev[b]->global;
+              });
+    std::vector<GlobalIndex> unknown(queued.size());
+    for (std::size_t i = 0; i < queued.size(); ++i)
+      unknown[i] = rev[queued[i]]->global;
     const std::vector<core::Home> fresh = dist.table().lookup(comm, unknown);
     stats_.seed_translations += unknown.size();
+    for (std::size_t i = 0; i < queued.size(); ++i)
+      fresh_home[queued[i]] = fresh[i];
 
     // Pass B: replay the reference stream, carrying stable Homes forward.
     CachedLoop nl;
@@ -279,25 +300,24 @@ void ScheduleRegistry::seed_from(sim::Comm& comm,
     nl.revision = pl.revision;
     nl.order = next_order_++;
     nl.plan.stamp = stamp;
-    nl.plan.local_refs.reserve(pl.plan.local_refs.size());
+    nl.plan.local_refs.reserve(refs.size());
     double seed_work = 0;
-    for (GlobalIndex lr : pl.plan.local_refs) {
-      const auto* e = rev[static_cast<std::size_t>(lr)];
-      const bool stable = delta.home_stable(e->global);
-      core::Home home = e->home;
-      if (!stable) {
-        // Either translated just above, or already seeded (with its new
-        // Home) by an earlier loop — seed_ref ignores `home` then.
-        const auto it =
-            std::lower_bound(unknown.begin(), unknown.end(), e->global);
-        if (it != unknown.end() && *it == e->global)
-          home = fresh[static_cast<std::size_t>(it - unknown.begin())];
+    for (GlobalIndex lr : refs) {
+      const auto at = static_cast<std::size_t>(lr);
+      if (new_id[at] >= 0) {
+        nl.plan.local_refs.push_back(
+            hash_->stamp_entry(static_cast<std::size_t>(new_id[at]), stamp));
+        seed_work += core::costs::kSeedHit;
+        continue;
       }
-      const auto seeded = hash_->seed_ref(me, e->global, home, stamp, stable);
-      seed_work += seeded.inserted ? core::costs::kSeedInsert
-                                   : core::costs::kSeedHit;
-      local_remap[static_cast<std::size_t>(lr)] = seeded.local_index;
+      const auto seeded =
+          hash_->seed_ref(me, rev[at]->global,
+                          stable[at] ? rev[at]->home : fresh_home[at], stamp,
+                          stable[at] != 0);
+      new_id[at] = static_cast<std::ptrdiff_t>(seeded.id);
+      local_remap[at] = seeded.local_index;
       nl.plan.local_refs.push_back(seeded.local_index);
+      seed_work += core::costs::kSeedInsert;
     }
     nl.plan.local_extent = hash_->local_extent();
     comm.charge_work(seed_work);

@@ -4,6 +4,7 @@
 
 #include "core/parallel_partition.hpp"
 #include "core/translation_table.hpp"
+#include "partition/bisection.hpp"
 #include "partition/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -148,6 +149,48 @@ TEST(ParallelPartition, MapFeedsTranslationTable) {
     for (int p = 0; p < 3; ++p) total += table.owned_count(p);
     EXPECT_EQ(total, 90);
   });
+}
+
+// The bisection rounds synchronise once and replay the remaining rounds
+// analytically. Against a reference that performs every round as a real
+// allgather (levels × 24 of them), clocks and comm_s must agree bitwise,
+// including when ranks enter the partitioner at different clocks.
+TEST(ParallelPartition, BisectionRoundsChargeLikeRealAllgathers) {
+  const GlobalIndex n = 240;
+  for (int P : {1, 2, 4, 8}) {
+    SCOPED_TRACE("P=" + std::to_string(P));
+    const auto skew = [](Comm& c) {
+      c.charge_work(1000.0 * (c.rank() + 1) * (c.rank() % 3 + 1));
+    };
+    Machine fast(P);
+    fast.run([&](Comm& c) {
+      skew(c);
+      auto mine = my_slice(c, n, true);
+      parallel_partition(c, PartitionerKind::kRcb, mine.ids, mine.pts,
+                         mine.w, n);
+    });
+    // What parallel_partition(kRcb) charges, with every median-search round
+    // a real collective.
+    Machine reference(P);
+    reference.run([&](Comm& c) {
+      skew(c);
+      auto mine = my_slice(c, n, true);
+      (void)c.allgatherv_unmodeled<GlobalIndex>(mine.ids);
+      c.charge_work(part::bisection_work_units(static_cast<std::size_t>(n),
+                                               P, /*inertial=*/false) /
+                    static_cast<double>(P));
+      for (int l = 0; l < sim::hypercube_steps(P); ++l)
+        for (int it = 0; it < 24; ++it) (void)c.allgather(0.0);
+      c.charge_comm_seconds(0.012 * P * static_cast<double>(n) / 14026.0);
+    });
+    for (int r = 0; r < P; ++r) {
+      EXPECT_EQ(fast.stats(r).clock, reference.stats(r).clock) << "rank " << r;
+      EXPECT_EQ(fast.stats(r).comm_s, reference.stats(r).comm_s)
+          << "rank " << r;
+      EXPECT_EQ(fast.stats(r).compute_s, reference.stats(r).compute_s)
+          << "rank " << r;
+    }
+  }
 }
 
 TEST(ParallelPartition, RejectsNonDenseIds) {

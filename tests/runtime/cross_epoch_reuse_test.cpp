@@ -29,7 +29,9 @@
 //   CHAOS_REUSE_SEEDS=10 CHAOS_REUSE_SEED_BASE=1000
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -427,6 +429,98 @@ TEST(CrossEpochReuse, IdenticalMapCarriesEverything) {
       EXPECT_EQ(x[static_cast<std::size_t>(refs[k])],
                 static_cast<double>(vals[k]));
   });
+}
+
+// CHARMM-shaped seeding: two loops whose refs repeat each global many times
+// and share globals across loops, then a slab shift that leaves only rank
+// 0's first elements home-stable. Seeding re-translates each distinct
+// unstable global once — not once per reference, and not again in the
+// second loop — and otherwise builds exactly the cold inspector's state.
+// Hot and cold arms run in lockstep on one machine, as in the randomized
+// suite; its final modeled clocks are pinned to the per-reference seeding
+// that memoization replaced, which charges the same work per reference.
+TEST(CrossEpochReuse, DuplicateHeavyLoopsSeedEachGlobalOnce) {
+  constexpr int P = 4;
+  constexpr GlobalIndex n = 2000;
+  constexpr GlobalIndex slab = n / P;
+  Machine m(P);
+  m.run([&](Comm& comm) {
+    Runtime hot(comm);
+    Runtime cold(comm);
+    cold.set_cross_epoch_reuse(false);
+
+    std::vector<int> map(static_cast<std::size_t>(n));
+    for (GlobalIndex g = 0; g < n; ++g)
+      map[static_cast<std::size_t>(g)] = static_cast<int>(g / slab);
+    DistHandle dh = hot.irregular(map);
+    DistHandle dc = cold.irregular(map);
+
+    // Loop a covers the rank's slab plus a 100-element halo each side;
+    // loop b the same window shifted by half a slab. ~10 refs per global.
+    Rng ref_rng(17 + static_cast<std::uint64_t>(comm.rank()));
+    const auto window_refs = [&](GlobalIndex start, std::size_t count) {
+      std::vector<GlobalIndex> refs(count);
+      for (GlobalIndex& g : refs)
+        g = (start + n + static_cast<GlobalIndex>(ref_rng.below(700))) % n;
+      return refs;
+    };
+    const GlobalIndex first = comm.rank() * slab;
+    lang::IndirectionArray a, b;
+    a.assign(window_refs(first - 100, 7000));
+    b.assign(window_refs(first - 100 + slab / 2, 5000));
+    for (const auto* ind : {&a, &b}) {
+      (void)hot.inspect(hot.bind(dh, *ind));
+      (void)cold.inspect(cold.bind(dc, *ind));
+    }
+
+    std::vector<int> next(static_cast<std::size_t>(n));
+    for (GlobalIndex g = 0; g < n; ++g)
+      next[static_cast<std::size_t>(g)] =
+          static_cast<int>(std::min<GlobalIndex>(P - 1, (g + slab / 2) / slab));
+    const DistHandle ndh = hot.repartition(dh, std::span<const int>(next));
+    const DistHandle ndc = cold.repartition(dc, std::span<const int>(next));
+    const core::OwnerDelta* delta = hot.owner_delta(ndh);
+    ASSERT_NE(delta, nullptr);
+
+    std::set<GlobalIndex> distinct, distinct_unstable;
+    std::size_t unstable_refs = 0;
+    for (const auto* ind : {&a, &b})
+      for (GlobalIndex g : ind->values()) {
+        distinct.insert(g);
+        if (delta->home_stable(g)) continue;
+        distinct_unstable.insert(g);
+        ++unstable_refs;
+      }
+    EXPECT_GT(distinct_unstable.size() * 2, distinct.size());
+    const auto rs = hot.registry_stats(ndh);
+    EXPECT_EQ(rs.seed_translations, distinct_unstable.size());
+    EXPECT_LT(rs.seed_translations * 5, unstable_refs);
+
+    for (const auto* ind : {&a, &b}) {
+      (void)hot.inspect(hot.bind(ndh, *ind));
+      (void)cold.inspect(cold.bind(ndc, *ind));
+      EXPECT_TRUE(ts::spans_equal(hot.local_refs(hot.bind(ndh, *ind)),
+                                  cold.local_refs(cold.bind(ndc, *ind)),
+                                  "seeded localized refs"));
+    }
+    EXPECT_EQ(hot.registry_stats(ndh).builds, 0u);  // seeded plans reused
+    const auto hs = hot.hash_stats(ndh);
+    const auto cs = cold.hash_stats(ndc);
+    EXPECT_EQ(hs.hits, cs.hits);
+    EXPECT_EQ(hs.inserts, cs.inserts);
+    EXPECT_EQ(hs.inserts, distinct.size());
+    EXPECT_EQ(hs.reused_homes, distinct.size() - distinct_unstable.size());
+    EXPECT_EQ(hs.translations, 0u);
+    EXPECT_EQ(cs.translations, distinct.size());
+  });
+  const double kClock[P] = {0x1.c322ffdf48d07p-3, 0x1.c62075c14d3cfp-3,
+                            0x1.c60100b0ffe7dp-3, 0x1.c723aafff36aep-3};
+  const double kCommS[P] = {0x1.05c9d8fc85f7ep-5, 0x1.0ead41ed0a5a4p-5,
+                            0x1.0e7070ab63c6cp-5, 0x1.15cc857f30618p-5};
+  for (int r = 0; r < P; ++r) {
+    EXPECT_EQ(m.stats(r).clock, kClock[r]) << "rank " << r;
+    EXPECT_EQ(m.stats(r).comm_s, kCommS[r]) << "rank " << r;
+  }
 }
 
 // ---- the randomized suite ---------------------------------------------------

@@ -1,7 +1,8 @@
 // Wall-clock microbenchmarks (google-benchmark) of the CHAOS++ primitives
 // themselves: inspector hashing (cold and warm), schedule generation,
 // transport, light-weight schedules, the partitioners, the CHARMM
-// non-bonded list kernel, and cross-epoch seeding. These measure
+// non-bonded list kernel, cross-epoch seeding, and the comm engine's wire
+// path (pack, wire, unpack, waits). These measure
 // the real implementation on the host, complementing the modeled-time
 // table harnesses.
 #include <benchmark/benchmark.h>
@@ -13,6 +14,7 @@
 #include "apps/charmm/system.hpp"
 #include "core/chaos.hpp"
 #include "lang/distribution.hpp"
+#include "runtime/runtime.hpp"
 #include "runtime/schedule_registry.hpp"
 #include "util/rng.hpp"
 
@@ -277,6 +279,59 @@ void BM_NonbondedList(benchmark::State& state) {
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_NonbondedList)->Unit(benchmark::kMillisecond);
+
+void BM_EngineHaloRoundTrip(benchmark::State& state) {
+  // The halo benchmark's shape at a quarter of its size: P = 4, block
+  // ownership, a band edge i -> i + N/8 (a run on the next rank) from every
+  // element and a random edge from every third (the residue), compiled
+  // plans. One iteration is a gather and a scatter_add round trip through
+  // the Runtime's engine; rank 0 drives the benchmark loop and the other
+  // ranks run the same number of round trips.
+  constexpr int kRanks = 4;
+  constexpr GlobalIndex kN = 120000;
+  const benchmark::IterationCount iterations = state.max_iterations;
+  std::uint64_t wire_elements = 0;
+  sim::Machine machine(kRanks);
+  machine.run([&](sim::Comm& comm) {
+    Runtime rt(comm);
+    const DistHandle d = rt.block(kN);
+    const std::vector<GlobalIndex> mine = rt.owned_globals(d);
+    Rng rng(5 + static_cast<std::uint64_t>(comm.rank()));
+    std::vector<GlobalIndex> refs;
+    for (GlobalIndex g : mine) {
+      refs.push_back((g + kN / 8) % kN);
+      if (g % 3 == 0)
+        refs.push_back(static_cast<GlobalIndex>(
+            rng.below(static_cast<std::uint64_t>(kN))));
+    }
+    lang::IndirectionArray ind(std::move(refs));
+    const ScheduleHandle h = rt.inspect(d, ind);
+    const auto extent = static_cast<std::size_t>(rt.extent(h));
+    std::vector<double> x(extent, 1.0), f(extent, 0.5);
+    const auto round_trip = [&] {
+      rt.gather_async<double>(h, std::span<double>{x});
+      rt.comm_wait_all();
+      rt.scatter_add_async<double>(h, std::span<double>{f});
+      rt.comm_wait_all();
+    };
+    round_trip();  // lowers the plans and fills the wire-buffer pool
+    const auto ghosts = static_cast<std::uint64_t>(extent - mine.size());
+    const std::uint64_t total = comm.allreduce_sum(ghosts);
+    if (comm.rank() == 0) {
+      wire_elements = 2 * total;  // each ghost crosses the wire both ways
+      for (auto _ : state) round_trip();
+    } else {
+      for (benchmark::IterationCount i = 0; i < iterations; ++i)
+        round_trip();
+    }
+    benchmark::DoNotOptimize(f.data());
+  });
+  state.counters["time_per_element"] = benchmark::Counter(
+      static_cast<double>(wire_elements) *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EngineHaloRoundTrip)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

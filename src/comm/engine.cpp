@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <thread>
+#include <utility>
 
 namespace chaos::comm {
 
@@ -29,6 +30,59 @@ void Engine::expect_in(Batch& b, int peer, std::uint32_t id,
   op.part_done.push_back(false);
 }
 
+const core::ScheduleBlock* Engine::expect_side(
+    Batch& b, std::uint32_t id, const Side& side, std::size_t elem_bytes,
+    std::vector<const core::ScheduleBlock*>& in_blocks,
+    std::vector<const compile::BlockPlan*>& in_plans) {
+  const int me = comm_.rank();
+  const core::ScheduleBlock* self = nullptr;
+  if (side.groups != nullptr && !side.groups->empty()) {
+    for (const compile::WireGroup& g : *side.groups) {
+      if (g.proc == me) {
+        CHAOS_CHECK(g.nblocks == 1, "self blocks cannot be wire-grouped");
+        self = &(*side.blocks)[g.first];
+        continue;
+      }
+      expect_in(b, g.proc, id, static_cast<std::uint32_t>(in_blocks.size()),
+                static_cast<std::size_t>(g.fused.count) * elem_bytes);
+      in_blocks.push_back(nullptr);  // grouped parts unpack via the plan
+      in_plans.push_back(&g.fused);
+    }
+    return self;
+  }
+  for (std::size_t bi = 0; bi < side.blocks->size(); ++bi) {
+    const core::ScheduleBlock& blk = (*side.blocks)[bi];
+    if (blk.proc == me) {
+      self = &blk;
+      continue;
+    }
+    expect_in(b, blk.proc, id, static_cast<std::uint32_t>(in_blocks.size()),
+              blk.indices.size() * elem_bytes);
+    in_blocks.push_back(&blk);
+    in_plans.push_back(side.plans != nullptr ? &(*side.plans)[bi] : nullptr);
+  }
+  return self;
+}
+
+Engine::PeerWire& Engine::wire(int peer) {
+  CHAOS_CHECK(peer >= 0 && peer < comm_.size(),
+              "schedule peer out of range");
+  if (wire_.empty()) wire_.resize(static_cast<std::size_t>(comm_.size()));
+  return wire_[static_cast<std::size_t>(peer)];
+}
+
+std::byte* Engine::stage_out(int peer, std::size_t bytes) {
+  PeerWire& w = wire(peer);
+  if (w.out.capacity() == 0 && !w.spares.empty()) {
+    w.out = std::move(w.spares.back());
+    w.spares.pop_back();
+  }
+  const std::size_t at = w.out.size();
+  w.out.resize(at + bytes);  // default-initialized: the pack overwrites it
+  ++w.segments;
+  return w.out.data() + at;
+}
+
 void Engine::flush() {
   if (open_ == kNone) return;
   Batch& b = batches_[open_];
@@ -36,38 +90,41 @@ void Engine::flush() {
   // collective, so the open-batch pattern — and therefore the machine-wide
   // tag sequence — is identical on every rank.
   b.tag = comm_.fresh_tag();
-  if (!b.out_bytes.empty() && peer_traffic_.empty())
-    peer_traffic_.resize(static_cast<std::size_t>(comm_.size()));
-  for (auto& [peer, bytes] : b.out_bytes) {
-    comm_.send<std::byte>(peer, b.tag, bytes);
+  // Ascending peer order, one message per peer with staged segments (even
+  // empty ones: the receiver expects them).
+  for (std::size_t peer = 0; peer < wire_.size(); ++peer) {
+    PeerWire& w = wire_[peer];
+    const std::uint64_t segments = std::exchange(w.segments, 0);
+    if (segments == 0) continue;
+    const std::uint64_t bytes = w.out.size();
+    comm_.send_payload(static_cast<int>(peer), b.tag,
+                       std::exchange(w.out, {}));
+    if (peer_traffic_.empty()) peer_traffic_.resize(wire_.size());
     ++traffic_.messages;
-    traffic_.bytes += bytes.size();
-    ++peer_traffic_[static_cast<std::size_t>(peer)].messages;
-    peer_traffic_[static_cast<std::size_t>(peer)].bytes += bytes.size();
+    traffic_.bytes += bytes;
+    ++peer_traffic_[peer].messages;
+    peer_traffic_[peer].bytes += bytes;
     ++b.sent_traffic.messages;
-    b.sent_traffic.bytes += bytes.size();
+    b.sent_traffic.bytes += bytes;
     // Only messages that actually packed several operations' segments
     // count as coalesced: single-segment engine sends are indistinguishable
     // on the wire from blocking sends, and counting them would dilute the
     // segments-per-message reduction factor the benches report.
-    if (b.out_segments[peer] >= 2)
-      comm_.note_coalesced_send(b.out_segments[peer], bytes.size());
+    if (segments >= 2) comm_.note_coalesced_send(segments, bytes);
   }
   b.sent = true;
-  b.out_bytes.clear();
-  b.out_segments.clear();
   open_ = kNone;
 }
 
-void Engine::deliver(Batch&, PeerIncoming& pi,
-                     std::span<const std::byte> payload) {
+void Engine::deliver(PeerIncoming& pi, sim::Payload&& payload) {
   CHAOS_CHECK(payload.size() == pi.total_bytes,
               "coalesced message size does not match expected segments");
+  const std::span<const std::byte> bytes{payload.data(), payload.size()};
   std::size_t at = 0;
   for (const Segment& seg : pi.segments) {
     Op& op = ops_[seg.op];
     CHAOS_ASSERT(op.remaining > 0);
-    op.unpack(seg.part, payload.subspan(at, seg.bytes));
+    op.unpack(seg.part, bytes.subspan(at, seg.bytes));
     op.part_done[seg.part] = true;
     at += seg.bytes;
     if (--op.remaining == 0) {
@@ -80,6 +137,13 @@ void Engine::deliver(Batch&, PeerIncoming& pi,
   }
   pi.received = true;
   pi.segments = {};  // release; the flag is all later passes need
+  // Keep the drained buffer for the next pack to this peer; two per peer
+  // cover a batch received while the next one is staged.
+  std::vector<sim::Payload>& spares = wire(pi.peer).spares;
+  if (payload.capacity() > 0 && spares.size() < kSparesPerPeer) {
+    payload.clear();
+    spares.push_back(std::move(payload));
+  }
 }
 
 bool Engine::receive_one(bool blocking) {
@@ -97,13 +161,13 @@ bool Engine::receive_one(bool blocking) {
       continue;
     }
     PeerIncoming& pi = b.incoming[b.next];
-    std::vector<std::byte> payload;
+    sim::Payload payload;
     if (blocking) {
-      payload = comm_.recv<std::byte>(pi.peer, b.tag);
-    } else if (!comm_.try_recv<std::byte>(pi.peer, b.tag, payload)) {
+      payload = comm_.recv_payload(pi.peer, b.tag);
+    } else if (!comm_.try_recv_payload(pi.peer, b.tag, payload)) {
       return false;
     }
-    deliver(b, pi, payload);
+    deliver(pi, std::move(payload));
     ++b.next;
     return true;
   }
@@ -122,9 +186,9 @@ bool Engine::receive_any() {
     if (!b.sent) break;  // the open batch ends the flushed prefix
     for (PeerIncoming& pi : b.incoming) {
       if (pi.received || !safe_out_of_order(pi)) continue;
-      std::vector<std::byte> payload;
-      if (!comm_.try_recv<std::byte>(pi.peer, b.tag, payload)) continue;
-      deliver(b, pi, payload);
+      sim::Payload payload;
+      if (!comm_.try_recv_payload(pi.peer, b.tag, payload)) continue;
+      deliver(pi, std::move(payload));
       return true;
     }
   }
@@ -221,6 +285,11 @@ std::size_t Engine::footprint_bytes() const {
     for (const PeerIncoming& pi : b.incoming)
       n += pi.segments.capacity() * sizeof(Segment);
   }
+  n += wire_.capacity() * sizeof(PeerWire);
+  for (const PeerWire& w : wire_) {
+    n += w.out.capacity() + w.spares.capacity() * sizeof(sim::Payload);
+    for (const sim::Payload& p : w.spares) n += p.capacity();
+  }
   return n;
 }
 
@@ -232,6 +301,8 @@ std::size_t Engine::compact() {
   batches_.clear();
   batches_.shrink_to_fit();
   recv_batch_ = 0;
+  wire_.clear();
+  wire_.shrink_to_fit();
   return released;
 }
 

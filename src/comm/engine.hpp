@@ -51,13 +51,21 @@
 // never pull virtual time forward; a polling loop must charge its own
 // work to make virtual progress, and how many polls it needs is the one
 // place real-time scheduling can show through (as with MPI_Test).
+//
+// Copy contract: each payload byte is copied exactly twice between the
+// data arrays — once by the pack kernel, straight into the peer's wire
+// buffer (a sim::Payload), and once by the unpack kernel, straight out of
+// the received payload. flush() moves each wire buffer into the mailbox
+// and a receive moves it back out, so neither copies. A drained payload is
+// kept as a spare for the next pack to the peer it came from: at most
+// 2·(P−1) spares per engine, counted in footprint_bytes() and released by
+// compact().
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <functional>
-#include <map>
 #include <memory>
 #include <span>
 #include <vector>
@@ -197,13 +205,13 @@ class Engine {
   /// receive when nothing order-independent is outstanding.
   void wait_arrival();
 
-  /// Bookkeeping heap footprint (ops, batches, per-part completion state),
-  /// for Runtime::registry_bytes accounting.
+  /// Heap footprint (ops, batches, per-part completion state, staged and
+  /// spare wire buffers), for Runtime::registry_bytes accounting.
   std::size_t footprint_bytes() const;
 
-  /// Release drained bookkeeping (requires an idle engine; no-op
-  /// otherwise). Returns the bytes released. Invalidates old handles, like
-  /// the idle recycling at open_batch.
+  /// Release drained bookkeeping and the wire-buffer pool (requires an idle
+  /// engine; no-op otherwise). Returns the bytes released. Invalidates old
+  /// handles, like the idle recycling at open_batch.
   std::size_t compact();
 
   /// True when `h` has completed (no progress attempted).
@@ -302,10 +310,32 @@ class Engine {
     Traffic sent_traffic;  ///< this batch's share of traffic_, set at flush
     std::vector<PeerIncoming> incoming;  ///< ascending peer
     std::size_t next = 0;                ///< receive progress
-    // Outgoing coalescer, dropped at flush.
-    std::map<int, std::vector<std::byte>> out_bytes;
-    std::map<int, std::uint64_t> out_segments;
   };
+
+  /// One direction of a schedule as the engine runs it: the blocks and,
+  /// when compiled, their block plans and wire groups.
+  struct Side {
+    const std::vector<core::ScheduleBlock>* blocks = nullptr;
+    const std::vector<compile::BlockPlan>* plans = nullptr;
+    const std::vector<compile::WireGroup>* groups = nullptr;
+  };
+  static Side send_side(const core::Schedule& s,
+                        const compile::SchedulePlan* p) {
+    return {&s.send_blocks(), p ? &p->send() : nullptr,
+            p ? &p->send_groups() : nullptr};
+  }
+  static Side recv_side(const core::Schedule& s,
+                        const compile::SchedulePlan* p) {
+    return {&s.recv_blocks(), p ? &p->recv() : nullptr,
+            p ? &p->recv_groups() : nullptr};
+  }
+  static void check_plan(const core::Schedule& s,
+                         const compile::SchedulePlan* p) {
+    if (p != nullptr)
+      CHAOS_CHECK(p->send().size() == s.send_blocks().size() &&
+                      p->recv().size() == s.recv_blocks().size(),
+                  "compiled plan does not lower this schedule");
+  }
 
   /// The open batch, creating one if needed; returns its index. Opening a
   /// fresh batch on a fully drained engine first discards the completed
@@ -328,12 +358,38 @@ class Engine {
     return open_;
   }
 
-  /// Append outgoing payload for `peer` to the open batch's coalescer.
-  void stage_out(Batch& b, int peer, std::span<const std::byte> bytes) {
-    auto& buf = b.out_bytes[peer];
-    buf.insert(buf.end(), bytes.begin(), bytes.end());
-    ++b.out_segments[peer];
-  }
+  /// Per peer rank: the open batch's wire buffer to it and its segment
+  /// count (moved into the mailbox at flush), and up to two drained
+  /// payloads received from it. A spare from `peer` is reused for the next
+  /// pack to `peer`: a gather and its transpose scatter carry equal sizes
+  /// in the two directions between two ranks, so after one step every
+  /// buffer fits and the pool stops growing.
+  struct PeerWire {
+    sim::Payload out;
+    std::uint64_t segments = 0;
+    std::vector<sim::Payload> spares;
+  };
+  static constexpr std::size_t kSparesPerPeer = 2;
+
+  /// `peer`'s wire state, sizing the table on first use.
+  PeerWire& wire(int peer);
+
+  /// Reserve a `bytes`-long segment at the end of `peer`'s wire buffer in
+  /// the open batch (drawing a spare when the peer has no buffer) and
+  /// return its start; the caller packs straight into it.
+  std::byte* stage_out(int peer, std::size_t bytes);
+
+  /// Pack `src` at `indices`, element by element, as one segment to `peer`.
+  template <typename T>
+  void pack_indices(int peer, const std::vector<GlobalIndex>& indices,
+                    std::span<const T> src);
+
+  /// Pack every off-rank block of `side` from `src` as one segment per wire
+  /// group or block (compiled when `side` has plans); returns the self
+  /// block, if any.
+  template <typename T>
+  const core::ScheduleBlock* pack_side(const Side& side,
+                                       std::span<const T> src);
 
   /// Record that op `id` expects its `part`-th segment, of `bytes`, from
   /// `peer` in batch `b` (maintains ascending peer order; posts arrive
@@ -341,6 +397,14 @@ class Engine {
   /// arbitrarily).
   void expect_in(Batch& b, int peer, std::uint32_t id, std::uint32_t part,
                  std::size_t bytes);
+
+  /// expect_in for every off-rank wire group or block of `side`, one part
+  /// each; `in_blocks` / `in_plans` receive the part's interpreted block
+  /// and compiled plan (either may be null). Returns the self block.
+  const core::ScheduleBlock* expect_side(
+      Batch& b, std::uint32_t id, const Side& side, std::size_t elem_bytes,
+      std::vector<const core::ScheduleBlock*>& in_blocks,
+      std::vector<const compile::BlockPlan*>& in_plans);
 
   /// Receive one pending coalesced message (FIFO batch order, ascending
   /// peer within a batch, skipping entries receive_any already delivered)
@@ -352,7 +416,8 @@ class Engine {
   /// op, so it may be delivered out of canonical order.
   bool safe_out_of_order(const PeerIncoming& pi) const;
 
-  void deliver(Batch& b, PeerIncoming& pi, std::span<const std::byte> payload);
+  /// Unpack `payload`'s segments, then keep it as a spare wire buffer.
+  void deliver(PeerIncoming& pi, sim::Payload&& payload);
 
   sim::Comm& comm_;
   std::vector<Op> ops_;
@@ -361,16 +426,70 @@ class Engine {
   std::uint32_t open_ = kNone;
   Traffic traffic_;
   std::vector<Traffic> peer_traffic_;  ///< by destination rank, lazy-sized
+  std::vector<PeerWire> wire_;  ///< by rank: the coalescer and the pool
 };
 
 // ---- template implementations ---------------------------------------------
+
+template <typename T>
+void Engine::pack_indices(int peer, const std::vector<GlobalIndex>& indices,
+                          std::span<const T> src) {
+  std::byte* out = stage_out(peer, indices.size() * sizeof(T));
+  for (GlobalIndex i : indices) {
+    CHAOS_CHECK(i >= 0 && static_cast<std::size_t>(i) < src.size(),
+                "schedule index outside source array");
+    std::memcpy(out, src.data() + i, sizeof(T));
+    out += sizeof(T);
+  }
+  comm_.charge_work(core::costs::pack_work(indices.size(), sizeof(T)));
+}
+
+template <typename T>
+const core::ScheduleBlock* Engine::pack_side(const Side& side,
+                                             std::span<const T> src) {
+  const int me = comm_.rank();
+  const core::ScheduleBlock* self = nullptr;
+  if (side.groups != nullptr && !side.groups->empty()) {
+    // Wire-grouped pack: consecutive same-peer blocks fused, boundary runs
+    // merged (identical wire bytes, fewer segment ops).
+    for (const compile::WireGroup& g : *side.groups) {
+      if (g.proc == me) {
+        CHAOS_CHECK(g.nblocks == 1, "self blocks cannot be wire-grouped");
+        self = &(*side.blocks)[g.first];
+        continue;
+      }
+      compile::pack_block<T>(
+          g.fused, src,
+          stage_out(g.proc, static_cast<std::size_t>(g.fused.count) *
+                                sizeof(T)));
+      comm_.charge_work(compile::block_work(g.fused, sizeof(T)));
+    }
+    return self;
+  }
+  for (std::size_t bi = 0; bi < side.blocks->size(); ++bi) {
+    const core::ScheduleBlock& blk = (*side.blocks)[bi];
+    if (blk.proc == me) {
+      self = &blk;
+    } else if (side.plans != nullptr) {
+      const compile::BlockPlan& bp = (*side.plans)[bi];
+      CHAOS_CHECK(bp.count == static_cast<GlobalIndex>(blk.indices.size()),
+                  "compiled plan does not lower this schedule");
+      compile::pack_block<T>(
+          bp, src, stage_out(blk.proc, blk.indices.size() * sizeof(T)));
+      comm_.charge_work(compile::block_work(bp, sizeof(T)));
+    } else {
+      pack_indices<T>(blk.proc, blk.indices, src);
+    }
+  }
+  return self;
+}
 
 template <typename T>
 CommHandle Engine::post_transport(const core::Schedule& sched,
                                   std::span<const T> src, std::span<T> dst,
                                   const compile::SchedulePlan* plan) {
   static_assert(std::is_trivially_copyable_v<T>);
-  const int me = comm_.rank();
+  check_plan(sched, plan);
   const std::uint32_t batch_id = open_batch();
   const auto id = static_cast<std::uint32_t>(ops_.size());
   ops_.emplace_back();
@@ -378,92 +497,14 @@ CommHandle Engine::post_transport(const core::Schedule& sched,
   // is fetched from exactly one owner), so segment delivery order cannot
   // change the result — eligible for arrival-driven receives.
   ops_.back().order_independent = true;
-  Batch& b = batches_[batch_id];
 
-  if (plan != nullptr)
-    CHAOS_CHECK(plan->send().size() == sched.send_blocks().size() &&
-                    plan->recv().size() == sched.recv_blocks().size(),
-                "compiled plan does not lower this schedule");
-
-  const core::ScheduleBlock* self_send = nullptr;
-  const core::ScheduleBlock* self_recv = nullptr;
-
-  std::vector<T> buf;
-  if (plan != nullptr && !plan->send_groups().empty()) {
-    // Wire-grouped pack: consecutive same-peer blocks fused, boundary runs
-    // merged (identical wire bytes, fewer segment ops).
-    for (const compile::WireGroup& g : plan->send_groups()) {
-      if (g.proc == me) {
-        CHAOS_CHECK(g.nblocks == 1, "self blocks cannot be wire-grouped");
-        self_send = &sched.send_blocks()[g.first];
-        continue;
-      }
-      buf.resize(static_cast<std::size_t>(g.fused.count));
-      compile::pack_block<T>(g.fused, src, buf.data());
-      comm_.charge_work(compile::block_work(g.fused, sizeof(T)));
-      stage_out(b, g.proc,
-                {reinterpret_cast<const std::byte*>(buf.data()),
-                 buf.size() * sizeof(T)});
-    }
-  } else {
-    for (std::size_t bi = 0; bi < sched.send_blocks().size(); ++bi) {
-      const auto& blk = sched.send_blocks()[bi];
-      if (blk.proc == me) {
-        self_send = &blk;
-        continue;
-      }
-      if (plan != nullptr) {
-        const compile::BlockPlan& bp = plan->send()[bi];
-        CHAOS_CHECK(bp.count == static_cast<GlobalIndex>(blk.indices.size()),
-                    "compiled plan does not lower this schedule");
-        buf.resize(blk.indices.size());
-        compile::pack_block<T>(bp, src, buf.data());
-        comm_.charge_work(compile::block_work(bp, sizeof(T)));
-      } else {
-        buf.clear();
-        buf.reserve(blk.indices.size());
-        for (GlobalIndex i : blk.indices) {
-          CHAOS_CHECK(i >= 0 && static_cast<std::size_t>(i) < src.size(),
-                      "schedule send index outside source array");
-          buf.push_back(src[static_cast<std::size_t>(i)]);
-        }
-        comm_.charge_work(core::costs::pack_work(buf.size(), sizeof(T)));
-      }
-      stage_out(b, blk.proc,
-                {reinterpret_cast<const std::byte*>(buf.data()),
-                 buf.size() * sizeof(T)});
-    }
-  }
-
+  const core::ScheduleBlock* self_send =
+      pack_side<T>(send_side(sched, plan), src);
   std::vector<const core::ScheduleBlock*> in_blocks;   // post order
   std::vector<const compile::BlockPlan*> in_plans;     // parallel, may be null
-  if (plan != nullptr && !plan->recv_groups().empty()) {
-    for (const compile::WireGroup& g : plan->recv_groups()) {
-      if (g.proc == me) {
-        CHAOS_CHECK(g.nblocks == 1, "self blocks cannot be wire-grouped");
-        self_recv = &sched.recv_blocks()[g.first];
-        continue;
-      }
-      expect_in(b, g.proc, id,
-                static_cast<std::uint32_t>(in_blocks.size()),
-                static_cast<std::size_t>(g.fused.count) * sizeof(T));
-      in_blocks.push_back(nullptr);  // grouped parts unpack via the plan
-      in_plans.push_back(&g.fused);
-    }
-  } else {
-    for (std::size_t bi = 0; bi < sched.recv_blocks().size(); ++bi) {
-      const auto& blk = sched.recv_blocks()[bi];
-      if (blk.proc == me) {
-        self_recv = &blk;
-        continue;
-      }
-      expect_in(b, blk.proc, id,
-                static_cast<std::uint32_t>(in_blocks.size()),
-                blk.indices.size() * sizeof(T));
-      in_blocks.push_back(&blk);
-      in_plans.push_back(plan != nullptr ? &plan->recv()[bi] : nullptr);
-    }
-  }
+  const core::ScheduleBlock* self_recv =
+      expect_side(batches_[batch_id], id, recv_side(sched, plan), sizeof(T),
+                  in_blocks, in_plans);
 
   // Self-block: straight copy at post time, no messages.
   if (self_send || self_recv) {
@@ -515,80 +556,22 @@ CommHandle Engine::post_scatter_op(const core::Schedule& sched,
                                    std::span<T> data, Combine combine,
                                    const compile::SchedulePlan* plan) {
   static_assert(std::is_trivially_copyable_v<T>);
-  const int me = comm_.rank();
+  check_plan(sched, plan);
   const std::uint32_t batch_id = open_batch();
   const auto id = static_cast<std::uint32_t>(ops_.size());
   ops_.emplace_back();
-  Batch& b = batches_[batch_id];
 
-  if (plan != nullptr)
-    CHAOS_CHECK(plan->send().size() == sched.send_blocks().size() &&
-                    plan->recv().size() == sched.recv_blocks().size(),
-                "compiled plan does not lower this schedule");
-
-  std::vector<T> buf;
-  if (plan != nullptr && !plan->recv_groups().empty()) {
-    for (const compile::WireGroup& g : plan->recv_groups()) {
-      CHAOS_CHECK(g.proc != me, "scatter does not support self-blocks");
-      buf.resize(static_cast<std::size_t>(g.fused.count));
-      compile::pack_block<T>(g.fused,
-                             std::span<const T>{data.data(), data.size()},
-                             buf.data());
-      comm_.charge_work(compile::block_work(g.fused, sizeof(T)));
-      stage_out(b, g.proc,
-                {reinterpret_cast<const std::byte*>(buf.data()),
-                 buf.size() * sizeof(T)});
-    }
-  } else {
-    for (std::size_t bi = 0; bi < sched.recv_blocks().size(); ++bi) {
-      const auto& blk = sched.recv_blocks()[bi];
-      CHAOS_CHECK(blk.proc != me, "scatter does not support self-blocks");
-      if (plan != nullptr) {
-        const compile::BlockPlan& bp = plan->recv()[bi];
-        CHAOS_CHECK(bp.count == static_cast<GlobalIndex>(blk.indices.size()),
-                    "compiled plan does not lower this schedule");
-        buf.resize(blk.indices.size());
-        compile::pack_block<T>(bp,
-                               std::span<const T>{data.data(), data.size()},
-                               buf.data());
-        comm_.charge_work(compile::block_work(bp, sizeof(T)));
-      } else {
-        buf.clear();
-        buf.reserve(blk.indices.size());
-        for (GlobalIndex i : blk.indices) {
-          CHAOS_CHECK(i >= 0 && static_cast<std::size_t>(i) < data.size());
-          buf.push_back(data[static_cast<std::size_t>(i)]);
-        }
-        comm_.charge_work(core::costs::pack_work(buf.size(), sizeof(T)));
-      }
-      stage_out(b, blk.proc,
-                {reinterpret_cast<const std::byte*>(buf.data()),
-                 buf.size() * sizeof(T)});
-    }
-  }
-
+  // The transpose of a gather: ghost values leave along the recv side and
+  // combine into owned slots along the send side.
   std::vector<const core::ScheduleBlock*> in_blocks;  // post order
   std::vector<const compile::BlockPlan*> in_plans;    // parallel, may be null
-  if (plan != nullptr && !plan->send_groups().empty()) {
-    for (const compile::WireGroup& g : plan->send_groups()) {
-      CHAOS_CHECK(g.proc != me, "scatter does not support self-blocks");
-      expect_in(b, g.proc, id,
-                static_cast<std::uint32_t>(in_blocks.size()),
-                static_cast<std::size_t>(g.fused.count) * sizeof(T));
-      in_blocks.push_back(nullptr);  // grouped parts combine via the plan
-      in_plans.push_back(&g.fused);
-    }
-  } else {
-    for (std::size_t bi = 0; bi < sched.send_blocks().size(); ++bi) {
-      const auto& blk = sched.send_blocks()[bi];
-      CHAOS_CHECK(blk.proc != me, "scatter does not support self-blocks");
-      expect_in(b, blk.proc, id,
-                static_cast<std::uint32_t>(in_blocks.size()),
-                blk.indices.size() * sizeof(T));
-      in_blocks.push_back(&blk);
-      in_plans.push_back(plan != nullptr ? &plan->send()[bi] : nullptr);
-    }
-  }
+  const core::ScheduleBlock* self_out = pack_side<T>(
+      recv_side(sched, plan), std::span<const T>{data.data(), data.size()});
+  const core::ScheduleBlock* self_in =
+      expect_side(batches_[batch_id], id, send_side(sched, plan), sizeof(T),
+                  in_blocks, in_plans);
+  CHAOS_CHECK(self_out == nullptr && self_in == nullptr,
+              "scatter does not support self-blocks");
 
   Op& op = ops_[id];
   op.batch = batch_id;
@@ -630,24 +613,10 @@ CommHandle Engine::post_migrate(core::LightweightSchedule sched,
   const std::uint32_t batch_id = open_batch();
   const auto id = static_cast<std::uint32_t>(ops_.size());
   ops_.emplace_back();
-  Batch& b = batches_[batch_id];
 
   auto kept = std::make_shared<core::LightweightSchedule>(std::move(sched));
-
-  std::vector<T> buf;
-  for (const auto& blk : kept->send_blocks()) {
-    buf.clear();
-    buf.reserve(blk.indices.size());
-    for (GlobalIndex i : blk.indices) {
-      CHAOS_CHECK(i >= 0 && static_cast<std::size_t>(i) < items.size(),
-                  "schedule item position outside item array");
-      buf.push_back(items[static_cast<std::size_t>(i)]);
-    }
-    comm_.charge_work(core::costs::pack_work(buf.size(), sizeof(T)));
-    stage_out(b, blk.proc,
-              {reinterpret_cast<const std::byte*>(buf.data()),
-               buf.size() * sizeof(T)});
-  }
+  for (const auto& blk : kept->send_blocks())
+    pack_indices<T>(blk.proc, blk.indices, items);
 
   // Items that stay local are appended at post time, before any arrival —
   // the same deterministic order as the blocking scatter_append.
@@ -658,7 +627,7 @@ CommHandle Engine::post_migrate(core::LightweightSchedule sched,
 
   std::uint32_t parts = 0;
   for (const auto& [proc, count] : kept->fetch_counts())
-    expect_in(b, proc, id, parts++,
+    expect_in(batches_[batch_id], proc, id, parts++,
               static_cast<std::size_t>(count) * sizeof(T));
 
   Op& op = ops_[id];

@@ -165,9 +165,10 @@ inline void check_hull(const BlockPlan& b, std::size_t size) {
 }  // namespace detail
 
 /// Gather/transport pack: read `src` at the block's indices (wire order)
-/// into `out` (capacity >= count elements).
+/// into the wire bytes at `out` (room for count elements, any alignment —
+/// a segment of a mixed-type batch may start unaligned for T).
 template <typename T>
-void pack_block(const BlockPlan& b, std::span<const T> src, T* out) {
+void pack_block(const BlockPlan& b, std::span<const T> src, std::byte* out) {
   detail::check_hull(b, src.size());
   const T* s0 = src.data();
   for (const SegmentOp& op : b.ops) {
@@ -177,13 +178,13 @@ void pack_block(const BlockPlan& b, std::span<const T> src, T* out) {
     } else if (op.stride == 0) {
       const GlobalIndex* idx = b.residue.data() + op.start;
       for (GlobalIndex k = 0; k < op.len; ++k)
-        out[k] = s0[idx[k]];
+        std::memcpy(out + k * sizeof(T), s0 + idx[k], sizeof(T));
     } else {
       const T* s = s0 + op.start;
       for (GlobalIndex k = 0; k < op.len; ++k)
-        out[k] = s[k * op.stride];
+        std::memcpy(out + k * sizeof(T), s + k * op.stride, sizeof(T));
     }
-    out += op.len;
+    out += static_cast<std::size_t>(op.len) * sizeof(T);
   }
 }
 

@@ -33,7 +33,7 @@ void Comm::charge_comm_seconds(double seconds) {
   st_.comm_s += seconds;
 }
 
-void Comm::send_bytes(int dst, int tag, std::span<const std::byte> bytes) {
+void Comm::send_payload(int dst, int tag, Payload&& payload) {
   CHAOS_CHECK(dst >= 0 && dst < nranks_, "send destination out of range");
   const double overhead = m_.model_.message_send_cost();
   st_.clock += overhead;
@@ -41,14 +41,14 @@ void Comm::send_bytes(int dst, int tag, std::span<const std::byte> bytes) {
   Message msg;
   msg.src = rank_;
   msg.tag = tag;
-  msg.arrival = st_.clock + m_.model_.transfer_time(bytes.size());
-  msg.payload.assign(bytes.begin(), bytes.end());
+  msg.arrival = st_.clock + m_.model_.transfer_time(payload.size());
   ++st_.msgs_sent;
-  st_.bytes_sent += bytes.size();
+  st_.bytes_sent += payload.size();
+  msg.payload = std::move(payload);
   m_.mailboxes_[static_cast<std::size_t>(dst)]->push(std::move(msg));
 }
 
-std::vector<std::byte> Comm::recv_bytes(int src, int tag) {
+Payload Comm::recv_payload(int src, int tag) {
   CHAOS_CHECK(src >= 0 && src < nranks_, "recv source out of range");
   Message msg = m_.mailboxes_[static_cast<std::size_t>(rank_)]->pop(
       src, tag, m_.aborted_);
@@ -59,7 +59,7 @@ std::vector<std::byte> Comm::recv_bytes(int src, int tag) {
   return std::move(msg.payload);
 }
 
-bool Comm::try_recv_bytes(int src, int tag, std::vector<std::byte>& out) {
+bool Comm::try_recv_payload(int src, int tag, Payload& out) {
   CHAOS_CHECK(src >= 0 && src < nranks_, "recv source out of range");
   // Gated on this rank's virtual clock: only messages that have already
   // arrived in modeled time are consumable, so a successful probe charges

@@ -87,10 +87,13 @@ class Comm {
   template <typename T>
   void send(int dst, int tag, std::span<const T> data) {
     static_assert(std::is_trivially_copyable_v<T>);
-    send_bytes(dst, tag,
-               {reinterpret_cast<const std::byte*>(data.data()),
-                data.size_bytes()});
+    const auto* bytes = reinterpret_cast<const std::byte*>(data.data());
+    send_payload(dst, tag, Payload(bytes, bytes + data.size_bytes()));
   }
+
+  /// Send an already-packed payload, moving it into the destination's
+  /// mailbox without copying. Charged exactly like send().
+  void send_payload(int dst, int tag, Payload&& payload);
 
   template <typename T>
   void send_value(int dst, int tag, const T& v) {
@@ -101,7 +104,7 @@ class Comm {
   template <typename T>
   std::vector<T> recv(int src, int tag) {
     static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<std::byte> bytes = recv_bytes(src, tag);
+    const Payload bytes = recv_payload(src, tag);
     CHAOS_CHECK(bytes.size() % sizeof(T) == 0,
                 "received payload size is not a multiple of element size");
     std::vector<T> out(bytes.size() / sizeof(T));
@@ -126,14 +129,19 @@ class Comm {
   template <typename T>
   bool try_recv(int src, int tag, std::vector<T>& out) {
     static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<std::byte> bytes;
-    if (!try_recv_bytes(src, tag, bytes)) return false;
+    Payload bytes;
+    if (!try_recv_payload(src, tag, bytes)) return false;
     CHAOS_CHECK(bytes.size() % sizeof(T) == 0,
                 "received payload size is not a multiple of element size");
     out.resize(bytes.size() / sizeof(T));
     if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
     return true;
   }
+
+  /// recv() and try_recv() without the element copy: the received
+  /// payload is handed back as it left the sender. Charged identically.
+  Payload recv_payload(int src, int tag);
+  bool try_recv_payload(int src, int tag, Payload& out);
 
   /// Earliest modeled arrival among messages from (src, tag) that are
   /// physically queued at this rank, or nullopt when none is queued yet.
@@ -368,10 +376,6 @@ class Comm {
  private:
   friend class Machine;
   Comm(Machine& m, int rank);
-
-  void send_bytes(int dst, int tag, std::span<const std::byte> bytes);
-  std::vector<std::byte> recv_bytes(int src, int tag);
-  bool try_recv_bytes(int src, int tag, std::vector<std::byte>& out);
 
   // Staged-collective protocol: publish own contribution, then read peers',
   // then finish (which synchronizes and charges modeled cost).

@@ -155,7 +155,8 @@ TEST(ScheduleCompile, KernelsMatchHandWalkedInterpretation) {
 
   // pack == src read at idx, in wire order.
   std::vector<double> wire(idx.size());
-  compile::pack_block<double>(b, std::span<const double>{src}, wire.data());
+  compile::pack_block<double>(b, std::span<const double>{src},
+                              reinterpret_cast<std::byte*>(wire.data()));
   for (std::size_t k = 0; k < idx.size(); ++k)
     EXPECT_EQ(wire[k], src[static_cast<std::size_t>(idx[k])]) << "k=" << k;
 
@@ -566,13 +567,15 @@ TEST(ScheduleCompile, FusedGroupPackIsBitwiseEqualToPerBlockPacks) {
     src[i] = 1.0 + 0.5 * static_cast<double>(i);
 
   std::vector<double> fused(static_cast<std::size_t>(g.fused.count), 0.0);
-  compile::pack_block<double>(g.fused, src, fused.data());
+  compile::pack_block<double>(g.fused, src,
+                              reinterpret_cast<std::byte*>(fused.data()));
 
   std::vector<double> per_block;
   for (std::size_t b = g.first; b < g.first + g.nblocks; ++b) {
     const compile::BlockPlan& bp = plan.send()[b];
     std::vector<double> out(static_cast<std::size_t>(bp.count), 0.0);
-    compile::pack_block<double>(bp, src, out.data());
+    compile::pack_block<double>(bp, src,
+                                reinterpret_cast<std::byte*>(out.data()));
     per_block.insert(per_block.end(), out.begin(), out.end());
   }
   ASSERT_EQ(fused.size(), per_block.size());

@@ -1,14 +1,19 @@
 // Runtime-level comm engine tests: gather_async/scatter_add_async posting
 // through ScheduleHandles with per-peer coalescing, async light-weight
 // migration overlapped with local work, per-peer arrival tracking
-// (test_peer / ready_peers / wait_arrival), and registry memory hygiene
-// (Runtime::compact) after epoch retirement.
+// (test_peer / ready_peers / wait_arrival), mixed-type batches sharing one
+// wire buffer, and memory hygiene (Runtime::compact after epoch retirement,
+// the bounded wire-buffer pool).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 
+#include "partition/geometry.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/step_graph.hpp"
+#include "util/rng.hpp"
 
 namespace chaos {
 namespace {
@@ -347,6 +352,82 @@ TEST(CommEnginePerPeer, ArrivalDrainKeepsConflictedScatterAddCanonical) {
   });
 }
 
+// ---- mixed-type batches -----------------------------------------------------
+
+template <typename T>
+bool bitwise_equal(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+// An int32 gather, a Point3 gather and a double scatter_add posted into one
+// batch share each peer's wire buffer. Three ghosts each way put the Point3
+// segment 12 bytes and the double segment 84 bytes into the message, both
+// unaligned for their type; pack and unpack must still match the blocking
+// executor bit for bit, with the same wire traffic.
+void run_mixed_type_batch(bool compiled) {
+  Machine m(2);
+  m.run([compiled](Comm& comm) {
+    Runtime rt(comm);
+    rt.set_schedule_compilation(compiled);
+    const DistHandle d = rt.block(12);  // rank 0: 0..5, rank 1: 6..11
+    lang::IndirectionArray ind;
+    if (comm.rank() == 0) {
+      ind.assign({1, 7, 9, 11, 3});
+    } else {
+      ind.assign({6, 0, 2, 4, 8});
+    }
+    const ScheduleHandle h = rt.inspect(d, ind);
+    const auto extent = static_cast<std::size_t>(rt.extent(h));
+    const std::vector<GlobalIndex> mine = rt.owned_globals(d);
+    ASSERT_EQ(extent, mine.size() + 3);
+
+    std::vector<std::int32_t> ints(extent, -1);
+    std::vector<part::Point3> pts(extent, part::Point3{-1.0, -1.0, -1.0});
+    std::vector<double> acc(extent, 0.0);
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+      const auto g = static_cast<double>(mine[i]);
+      ints[i] = static_cast<std::int32_t>(7 * mine[i] - 3);
+      pts[i] = part::Point3{g, 0.5 * g, -g / 3.0};
+      acc[i] = 1.0 / (g + 1.0);
+    }
+    for (std::size_t i = mine.size(); i < extent; ++i)
+      acc[i] = 0.1 * static_cast<double>(i + 10 * mine.front());
+
+    std::vector<std::int32_t> ints_ref = ints;
+    std::vector<part::Point3> pts_ref = pts;
+    std::vector<double> acc_ref = acc;
+    rt.gather<std::int32_t>(h, std::span<std::int32_t>{ints_ref});
+    rt.gather<part::Point3>(h, std::span<part::Point3>{pts_ref});
+    rt.scatter_add<double>(h, std::span<double>{acc_ref});
+
+    const sim::RankStats before = comm.stats();
+    rt.gather_async<std::int32_t>(h, std::span<std::int32_t>{ints});
+    rt.gather_async<part::Point3>(h, std::span<part::Point3>{pts});
+    rt.scatter_add_async<double>(h, std::span<double>{acc});
+    rt.comm_wait_all();
+    const sim::RankStats& after = comm.stats();
+
+    EXPECT_TRUE(bitwise_equal(ints, ints_ref));
+    EXPECT_TRUE(bitwise_equal(pts, pts_ref));
+    EXPECT_TRUE(bitwise_equal(acc, acc_ref));
+    // One message per rank of 3·4 + 3·24 + 3·8 = 108 bytes, three segments.
+    EXPECT_EQ(after.msgs_sent - before.msgs_sent, 1u);
+    EXPECT_EQ(after.bytes_sent - before.bytes_sent, 108u);
+    EXPECT_EQ(after.coalesced_msgs_sent - before.coalesced_msgs_sent, 1u);
+    EXPECT_EQ(after.coalesced_segments - before.coalesced_segments, 3u);
+    EXPECT_EQ(after.coalesced_bytes_sent - before.coalesced_bytes_sent, 108u);
+  });
+}
+
+TEST(RuntimeCommEngine, MixedTypeBatchMatchesBlockingCompiled) {
+  run_mixed_type_batch(/*compiled=*/true);
+}
+
+TEST(RuntimeCommEngine, MixedTypeBatchMatchesBlockingInterpreted) {
+  run_mixed_type_batch(/*compiled=*/false);
+}
+
 // ---- registry memory hygiene ----------------------------------------------
 
 TEST(RuntimeCompact, ReleasesRetiredEpochStateAndKeepsLiveEpochsWorking) {
@@ -442,6 +523,79 @@ TEST(RuntimeCompact, AccountsArrivalStateAndReleasesChunkPlans) {
     EXPECT_GT(g.footprint_bytes(), 0u);  // plan rebuilt on demand
     for (std::size_t i = 0; i < globals.size(); ++i)
       EXPECT_EQ(y[i], 2.0 * x[i]);
+  });
+}
+
+// Wire buffers are pooled: fifty halo-shaped steps (gather, then scatter_add
+// of the ghost contributions) hold exactly the engine memory of the first
+// two, compact() on the idle engine hands the pool back with exact
+// accounting, staged payload is counted, and the next step is still right.
+TEST(RuntimeCompact, WireBufferPoolIsBoundedAndReleased) {
+  constexpr GlobalIndex kN = 4000;
+  Machine m(4);
+  m.run([](Comm& comm) {
+    Runtime rt(comm);
+    const DistHandle d = rt.block(kN);
+    const std::vector<GlobalIndex> mine = rt.owned_globals(d);
+    Rng rng(17 + static_cast<std::uint64_t>(comm.rank()));
+    std::vector<GlobalIndex> refs;
+    for (GlobalIndex g : mine) {
+      refs.push_back((g + kN / 8) % kN);  // band: a run on the next rank
+      if (g % 3 == 0)
+        refs.push_back(static_cast<GlobalIndex>(
+            rng.below(static_cast<std::uint64_t>(kN))));  // residue
+    }
+    lang::IndirectionArray ind(std::move(refs));
+    const ScheduleHandle h = rt.inspect(d, ind);
+    const auto extent = static_cast<std::size_t>(rt.extent(h));
+    std::vector<double> x(extent, 0.0), f(extent, 0.0);
+    for (std::size_t i = 0; i < mine.size(); ++i)
+      x[i] = static_cast<double>(mine[i]) + 0.25;
+
+    auto step = [&](std::vector<double>& xs, std::vector<double>& fs,
+                    bool blocking) {
+      if (blocking) {
+        rt.gather<double>(h, std::span<double>{xs});
+      } else {
+        rt.gather_async<double>(h, std::span<double>{xs});
+        rt.comm_wait_all();
+      }
+      for (std::size_t i = 0; i < extent; ++i) fs[i] = 0.5 * xs[i] + fs[i];
+      if (blocking) {
+        rt.scatter_add<double>(h, std::span<double>{fs});
+      } else {
+        rt.scatter_add_async<double>(h, std::span<double>{fs});
+        rt.comm_wait_all();
+      }
+    };
+    comm::Engine& engine = rt.engine();
+    step(x, f, false);
+    step(x, f, false);
+    const std::size_t two_steps = engine.footprint_bytes();
+    for (int s = 2; s < 50; ++s) step(x, f, false);
+    EXPECT_EQ(engine.footprint_bytes(), two_steps);
+
+    const std::size_t before = engine.footprint_bytes();
+    const std::size_t released = engine.compact();
+    EXPECT_GT(released, 0u);
+    EXPECT_EQ(before, engine.footprint_bytes() + released);
+    EXPECT_EQ(engine.footprint_bytes(), 0u);
+
+    // An open batch's staged payload is part of the footprint.
+    std::vector<double> xr = x, fr = f;
+    const std::uint64_t sent = engine.traffic().bytes;
+    rt.gather_async<double>(h, std::span<double>{x});
+    const std::size_t staged = engine.footprint_bytes();
+    rt.comm_wait_all();
+    EXPECT_GE(staged, engine.traffic().bytes - sent);
+
+    // The step after compaction matches the blocking executor bit for bit.
+    for (std::size_t i = 0; i < extent; ++i) f[i] = 0.5 * x[i] + f[i];
+    rt.scatter_add_async<double>(h, std::span<double>{f});
+    rt.comm_wait_all();
+    step(xr, fr, true);
+    EXPECT_TRUE(bitwise_equal(x, xr));
+    EXPECT_TRUE(bitwise_equal(f, fr));
   });
 }
 

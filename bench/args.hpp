@@ -28,7 +28,8 @@
 //                         table12's rotating hot band); default 4.0
 //   --json=PATH           append one JSON-lines record per measured
 //                         configuration (bench_common.hpp emit_json) —
-//                         honored by table1/table5/table10/table11/table12
+//                         honored by table1/table5/table9/table10/table11/
+//                         table12
 //
 // Unknown values raise chaos::Error listing the accepted spellings;
 // unknown flags are ignored (benches historically tolerate extra argv).

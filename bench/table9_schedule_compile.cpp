@@ -5,15 +5,16 @@
 // measures what lowering each schedule into a compile::SchedulePlan
 // (memcpy for contiguous runs, strided block copies, index lists for the
 // residue) buys across four reference-pattern families spanning the
-// regularity spectrum (bench/patterns.hpp), in three arms per pattern:
+// regularity spectrum (bench/patterns.hpp), in two arms per pattern:
 //
 //   interpreted   rt.set_schedule_compilation(false) — the reference arm
 //   compiled      the default executor path (compile on first execute)
-//   + remap       rt.remap_ghost_locality() first, creating recv-side runs
-//                 the reference pattern did not leave by accident
 //
-// Every arm is proven bitwise identical to the interpreted executor on all
-// three directions (gather / scatter / scatter_add) before it is timed.
+// The inspector numbers ghost slots in wire order, so the recv side of
+// every pattern is one run per peer; the send side keeps whatever runs the
+// pattern leaves. The compiled arm is proven bitwise identical to the
+// interpreted executor on all three directions (gather / scatter /
+// scatter_add) before it is timed.
 // A repartition phase then moves the reserved probe elements: the main
 // loop's compiled plan is carried across the epoch (send side verbatim,
 // recv side re-lowered) while the probe loop's schedule is rebuilt and its
@@ -51,7 +52,6 @@ struct PatternResult {
   double runs_per_element = 0;  ///< run coverage of the compiled plans
   double interp_ms = 0;         ///< ms per event, interpreted
   double compiled_ms = 0;       ///< ms per event, compiled
-  double remap_ms = 0;          ///< ms per event, compiled after remap
   double bytes_mb = 0;          ///< payload moved over the whole run
   bool identical = true;        ///< compiled == interpreted, bitwise
   runtime::ScheduleRegistry::Stats epoch1;  ///< pre-repartition epoch
@@ -119,7 +119,7 @@ PatternResult run_pattern(Pattern pat, bool quick) {
                                 static_cast<double>(events));
     };
 
-    bool ok = verify();
+    const bool ok = verify();
     std::vector<double> work = base;
     rt.set_schedule_compilation(false);
     const double interp_ms = time_events(work);
@@ -127,14 +127,6 @@ PatternResult run_pattern(Pattern pat, bool quick) {
     work = base;
     rt.gather<double>(h, std::span<double>{work});  // compile off the clock
     const double compiled_ms = time_events(work);
-
-    // Locality remap: renumber the ghost region so recv blocks become wire
-    // order, then re-verify identity on the rewritten schedule and re-time.
-    rt.remap_ghost_locality(d);
-    ok = ok && verify();
-    work = base;
-    rt.gather<double>(h, std::span<double>{work});
-    const double remap_ms = time_events(work);
 
     // Compile the probe loop's plan too (executing it once), so the
     // repartition below has a compiled plan to invalidate and recompile.
@@ -166,7 +158,6 @@ PatternResult run_pattern(Pattern pat, bool quick) {
       res.identical = ok;
       res.interp_ms = interp_ms;
       res.compiled_ms = compiled_ms;
-      res.remap_ms = remap_ms;
       res.epoch1 = s1;
       res.epoch2 = s2;
       const double total = static_cast<double>(
@@ -199,8 +190,8 @@ int main(int argc, char** argv) {
 
   Table table("Table 9: compiled schedule execution (modern-node calibration)");
   std::vector<std::string> header{"pattern",     "runs/elem", "bytes MB",
-                                  "interp ms",   "compiled ms", "remap ms",
-                                  "speedup",     "remap speedup", "identical"};
+                                  "interp ms",   "compiled ms", "speedup",
+                                  "identical"};
   table.header(header);
 
   bool all_identical = true;
@@ -218,10 +209,22 @@ int main(int argc, char** argv) {
     recompiles += r.epoch2.recompiles_after_repartition;
     table.row({pattern_name(pat), Table::num(r.runs_per_element),
                Table::num(r.bytes_mb), Table::num(r.interp_ms, 3),
-               Table::num(r.compiled_ms, 3), Table::num(r.remap_ms, 3),
+               Table::num(r.compiled_ms, 3),
                Table::num(r.interp_ms / r.compiled_ms),
-               Table::num(r.interp_ms / r.remap_ms),
                r.identical ? "yes" : "NO"});
+    emit_json(opt.json, "table9_schedule_compile", pattern_name(pat),
+              r.compiled_ms,
+              {{"interp_ms", r.interp_ms},
+               {"compiled_ms", r.compiled_ms},
+               {"runs_per_element", r.runs_per_element},
+               {"bytes_mb", r.bytes_mb},
+               {"identical", r.identical ? 1.0 : 0.0},
+               {"compiled_plans", static_cast<double>(
+                                      r.epoch1.compiled_plans +
+                                      r.epoch2.compiled_plans)},
+               {"residue_elements", static_cast<double>(
+                                        r.epoch1.residue_elements +
+                                        r.epoch2.residue_elements)}});
   }
   table.print();
 

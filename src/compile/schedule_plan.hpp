@@ -3,10 +3,10 @@
 //
 // A built core::Schedule is an index-list program: every gather/scatter
 // walks its blocks element-at-a-time, even when the indices form long
-// contiguous or constant-stride runs (sorted meshes, banded matrices,
-// locality-remapped ghost regions). A SchedulePlan is the compiled form of
-// one Schedule: each block is lowered, in wire order, into a short sequence
-// of segment ops —
+// contiguous or constant-stride runs (sorted meshes, banded matrices, the
+// ghost slots a fresh inspection numbers in wire order — one run per
+// peer). A SchedulePlan is the compiled form of one Schedule: each block
+// is lowered, in wire order, into a short sequence of segment ops —
 //
 //   stride == 1   contiguous run  -> one memcpy
 //   stride != 0   constant-stride run -> strided block copy (tight loop,

@@ -1,6 +1,6 @@
 #include "core/hash_table.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "core/costs.hpp"
 
@@ -58,33 +58,47 @@ Stamp IndexHashTable::allocate_stamp() {
   return stamp;
 }
 
-IndexHashTable::SeedResult IndexHashTable::seed_ref(int self_rank,
-                                                    GlobalIndex g,
-                                                    const Home& home,
-                                                    Stamp stamp,
-                                                    bool carried) {
+std::size_t IndexHashTable::seed_ref(GlobalIndex g, const Home& home,
+                                    Stamp stamp, bool carried) {
   if (entries_.size() * 10 >= index_.size() * 7) grow();
   const std::size_t at = probe(g);
   CHAOS_ASSERT(index_[at] < 0, "global already seeded; use stamp_entry");
   CHAOS_ASSERT(home.proc >= 0, "seeding a new entry requires a Home");
   const std::size_t id = entries_.size();
-  const GlobalIndex local =
-      home.proc == self_rank ? home.offset : owned_ + next_ghost_slot_++;
-  entries_.push_back(Entry{g, home, local, stamp});
+  entries_.push_back(Entry{g, home, -1, stamp});
   index_[at] = static_cast<std::int32_t>(id);
   ++stats_.inserts;
   if (carried) ++stats_.reused_homes;
-  return SeedResult{id, local};
+  return id;
 }
 
-GlobalIndex IndexHashTable::stamp_entry(std::size_t id, Stamp stamp) {
+void IndexHashTable::stamp_entry(std::size_t id, Stamp stamp) {
   // Grow exactly when a probing hit would have, so the table's footprint
   // does not depend on whether repeat references probe.
   if (entries_.size() * 10 >= index_.size() * 7) grow();
-  Entry& e = entries_[id];
-  e.stamps |= stamp;
+  entries_[id].stamps |= stamp;
   ++stats_.hits;
-  return e.local_index;
+}
+
+void IndexHashTable::number_fresh(std::size_t first, int self_rank,
+                                  int nranks) {
+  // Counting sort over the owners: first slot of each owner's group, then
+  // one pass in insertion order.
+  std::vector<GlobalIndex> next(static_cast<std::size_t>(nranks), 0);
+  for (std::size_t id = first; id < entries_.size(); ++id) {
+    const int p = entries_[id].home.proc;
+    CHAOS_ASSERT(p >= 0 && p < nranks, "numbering an entry without a Home");
+    if (p != self_rank) ++next[static_cast<std::size_t>(p)];
+  }
+  GlobalIndex slot = owned_ + next_ghost_slot_;
+  for (GlobalIndex& n : next) slot += std::exchange(n, slot);
+  next_ghost_slot_ = slot - owned_;
+  for (std::size_t id = first; id < entries_.size(); ++id) {
+    Entry& e = entries_[id];
+    e.local_index = e.home.proc == self_rank
+                        ? e.home.offset
+                        : next[static_cast<std::size_t>(e.home.proc)]++;
+  }
 }
 
 Stamp IndexHashTable::hash(sim::Comm& comm, const TranslationTable& table,
@@ -92,9 +106,10 @@ Stamp IndexHashTable::hash(sim::Comm& comm, const TranslationTable& table,
   const Stamp stamp = allocate_stamp();
 
   // Pass 1: enter indices, overwriting each with its entry id; collect
-  // globals that need translation.
+  // globals that need translation. New entries are appended, so this
+  // call's are exactly entries_[first..].
+  const std::size_t first = entries_.size();
   std::vector<GlobalIndex> unknown;
-  std::vector<std::int32_t> unknown_ids;
   double hit_work = 0.0, insert_work = 0.0;
   for (GlobalIndex& g : indices) {
     if (entries_.size() * 10 >= index_.size() * 7) grow();
@@ -108,7 +123,6 @@ Stamp IndexHashTable::hash(sim::Comm& comm, const TranslationTable& table,
       index_[at] = static_cast<std::int32_t>(entries_.size());
       entries_.push_back(Entry{g, Home{}, -1, stamp});
       unknown.push_back(g);
-      unknown_ids.push_back(index_[at]);
       ++stats_.inserts;
       insert_work += costs::kHashInsert;
     }
@@ -121,13 +135,11 @@ Stamp IndexHashTable::hash(sim::Comm& comm, const TranslationTable& table,
   std::vector<Home> homes = table.lookup(comm, unknown);
   stats_.translations += unknown.size();
   for (std::size_t i = 0; i < unknown.size(); ++i) {
-    Entry& e = entries_[static_cast<std::size_t>(unknown_ids[i])];
-    e.home = homes[i];
-    CHAOS_CHECK(e.home.proc >= 0,
+    CHAOS_CHECK(homes[i].proc >= 0,
                 "indirection array references a deleted (tombstoned) element");
-    e.local_index = (e.home.proc == comm.rank()) ? e.home.offset
-                                                 : owned_ + next_ghost_slot_++;
+    entries_[first + i].home = homes[i];
   }
+  number_fresh(first, comm.rank(), comm.size());
 
   // Pass 2: rewrite the entry ids to local indices (no second probe).
   for (GlobalIndex& g : indices)
@@ -144,13 +156,23 @@ void IndexHashTable::clear_stamp(Stamp stamp) {
 }
 
 void IndexHashTable::compact() {
+  // Surviving ghosts keep their relative slot order, so each inspection's
+  // owner grouping survives the re-pack.
+  std::vector<GlobalIndex> slot_of(static_cast<std::size_t>(next_ghost_slot_),
+                                   -1);
+  for (const Entry& e : entries_)
+    if (e.stamps != 0 && e.local_index >= owned_)
+      slot_of[static_cast<std::size_t>(e.local_index - owned_)] = 0;
+  next_ghost_slot_ = 0;
+  for (GlobalIndex& s : slot_of)
+    if (s == 0) s = owned_ + next_ghost_slot_++;
+
   std::vector<Entry> survivors;
   survivors.reserve(entries_.size());
-  next_ghost_slot_ = 0;
   for (Entry& e : entries_) {
     if (e.stamps == 0) continue;
-    if (e.home.proc >= 0 && e.local_index >= owned_)
-      e.local_index = owned_ + next_ghost_slot_++;
+    if (e.local_index >= owned_)
+      e.local_index = slot_of[static_cast<std::size_t>(e.local_index - owned_)];
     survivors.push_back(e);
   }
   entries_ = std::move(survivors);
@@ -163,22 +185,6 @@ void IndexHashTable::compact() {
     std::size_t at = static_cast<std::size_t>(mix(entries_[id].global)) & mask;
     while (index_[at] >= 0) at = (at + 1) & mask;
     index_[at] = static_cast<std::int32_t>(id);
-  }
-}
-
-void IndexHashTable::permute_ghosts(
-    std::span<const GlobalIndex> new_slot_of_old) {
-  CHAOS_CHECK(static_cast<GlobalIndex>(new_slot_of_old.size()) ==
-                  next_ghost_slot_,
-              "ghost permutation does not cover the assigned slots");
-  for (Entry& e : entries_) {
-    if (e.local_index < owned_) continue;
-    const GlobalIndex ord = e.local_index - owned_;
-    CHAOS_CHECK(ord < next_ghost_slot_, "ghost slot outside assigned range");
-    const GlobalIndex to = new_slot_of_old[static_cast<std::size_t>(ord)];
-    CHAOS_CHECK(to >= owned_ && to < owned_ + next_ghost_slot_,
-                "ghost permutation value outside the ghost region");
-    e.local_index = to;
   }
 }
 

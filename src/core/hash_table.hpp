@@ -16,10 +16,17 @@
 // indirection array finds most indices already present and skips their
 // translation — `Stats` exposes exactly how much work was avoided.
 //
-// Ghost slots are stable: clearing a stamp never moves surviving entries,
-// and re-hashing an index whose stamps were cleared revives it with its old
-// slot. `compact()` explicitly reclaims dead slots (which invalidates any
-// schedule built earlier).
+// Ghost slots are numbered per `hash` call, in wire order: the call's new
+// off-processor entries take the next slots grouped by owner rank
+// (ascending), in insertion order within each owner. `build_schedule` walks
+// entries in insertion order, so the receive block a fresh inspection
+// builds for each peer is one stride-1 run of ghost slots, which the
+// compiled executor moves with one copy. Slots are stable: later calls
+// number only their own new entries, clearing a stamp never moves
+// surviving entries, and re-hashing an index whose stamps were cleared
+// revives it with its old slot. `compact()` explicitly reclaims dead slots
+// (keeping the survivors' slot order, which invalidates any schedule built
+// earlier).
 #pragma once
 
 #include <cstdint>
@@ -71,35 +78,38 @@ class IndexHashTable {
   // indirection array: the registry replays each cached loop's reference
   // stream, carrying each entry's Home forward when the owner delta proves
   // it stable. Seeding reproduces exactly the entry/slot/stamp state a
-  // cold inspector pass over the same references would build — ghost slots
-  // are assigned in the same first-encounter order — which is what the
-  // randomized equivalence suite asserts. The registry decides stability
-  // once per prior entry; the first reference to a global inserts it
-  // (seed_ref, one probe) and every later one is stamped straight into the
-  // remembered entry (stamp_entry, no probe). Seeding therefore costs
-  // O(prior entries · log |delta|) + O(refs), with no per-reference search.
+  // cold inspector pass over the same references would build — entries
+  // are inserted in the same first-encounter order and each replayed
+  // loop's new entries are numbered by number_fresh(), as hash() numbers
+  // its own — which is what the randomized equivalence suite asserts. The
+  // registry decides stability once per prior entry; the first reference
+  // to a global inserts it (seed_ref, one probe) and every later one is
+  // stamped straight into the remembered entry (stamp_entry, no probe).
+  // Seeding therefore costs O(prior entries · log |delta|) + O(refs), with
+  // no per-reference search.
 
   /// Take the lowest free stamp bit (the same allocation policy hash()
   /// uses) without hashing anything. The caller seeds entries under it via
   /// seed_ref() and stamp_entry().
   Stamp allocate_stamp();
 
-  struct SeedResult {
-    std::size_t id = 0;  ///< entry id, for later stamp_entry() calls
-    GlobalIndex local_index = -1;
-  };
-
   /// Seed the first reference to `g`, which must not be present yet:
   /// insert it with `home` and `stamp` (no translation-table lookup —
   /// `carried` says whether the home was reused from the prior epoch, for
-  /// stats). The local index is exactly what hash() would have assigned on
-  /// a rank whose id is `self_rank`.
-  SeedResult seed_ref(int self_rank, GlobalIndex g, const Home& home,
-                      Stamp stamp, bool carried);
+  /// stats) and return its entry id. Its local index stays unassigned
+  /// until number_fresh().
+  std::size_t seed_ref(GlobalIndex g, const Home& home, Stamp stamp,
+                       bool carried);
 
   /// Seed a repeat reference to entry `id` (from seed_ref): OR `stamp` into
-  /// it, count a hit, and return its local index.
-  GlobalIndex stamp_entry(std::size_t id, Stamp stamp);
+  /// it and count a hit.
+  void stamp_entry(std::size_t id, Stamp stamp);
+
+  /// Assign local indices to entries()[first..], whose Homes are set, as
+  /// seen from rank `self_rank` of `nranks`: owned elements map to their
+  /// own offset; off-processor ones take the next ghost slots grouped by
+  /// owner rank (ascending), in insertion order within each owner.
+  void number_fresh(std::size_t first, int self_rank, int nranks);
 
   /// All entries in insertion order, including dead ones (stamps == 0).
   std::span<const Entry> entries() const { return entries_; }
@@ -109,17 +119,9 @@ class IndexHashTable {
   /// until compact().
   void clear_stamp(Stamp stamp);
 
-  /// Drop dead entries and re-pack ghost slots densely (in surviving
-  /// insertion order). Invalidates previously built schedules.
+  /// Drop dead entries and re-pack ghost slots densely, keeping the
+  /// survivors' slot order. Invalidates previously built schedules.
   void compact();
-
-  /// Renumber ghost slots through `new_slot_of_old` (indexed by old ghost
-  /// ordinal, values full local indices >= owned; every assigned slot must
-  /// be covered). Used by the locality remap pass
-  /// (compile/locality.hpp) — the caller is responsible for rewriting the
-  /// recv sides of existing schedules through the same permutation; ghost
-  /// data already gathered is invalidated.
-  void permute_ghosts(std::span<const GlobalIndex> new_slot_of_old);
 
   GlobalIndex owned_count() const { return owned_; }
   /// Ghost-buffer slots assigned so far (including slots of dead entries

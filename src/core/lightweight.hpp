@@ -14,7 +14,9 @@
 // the regular-schedule rows.
 #pragma once
 
+#include <cstring>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/costs.hpp"
@@ -105,16 +107,21 @@ void scatter_append(sim::Comm& comm, const LightweightSchedule& sched,
   static_assert(std::is_trivially_copyable_v<T>);
   const int tag = comm.fresh_tag();
 
+  // Two copies per item: packed straight into the peer's wire payload, and
+  // appended straight from the received one. Each message leaves as soon
+  // as it is packed (comm::Engine::post_migrate would hold them all until
+  // every peer is packed, which moves modeled arrival times).
   for (const auto& b : sched.send_blocks()) {
-    std::vector<T> buf;
-    buf.reserve(b.indices.size());
+    sim::Payload wire(b.indices.size() * sizeof(T));
+    std::byte* at = wire.data();
     for (GlobalIndex i : b.indices) {
       CHAOS_CHECK(i >= 0 && static_cast<std::size_t>(i) < items.size(),
                   "schedule item position outside item array");
-      buf.push_back(items[static_cast<std::size_t>(i)]);
+      std::memcpy(at, items.data() + i, sizeof(T));
+      at += sizeof(T);
     }
-    comm.charge_work(costs::pack_work(buf.size(), sizeof(T)));
-    comm.send<T>(b.proc, tag, buf);
+    comm.charge_work(costs::pack_work(b.indices.size(), sizeof(T)));
+    comm.send_payload(b.proc, tag, std::move(wire));
   }
 
   for (GlobalIndex i : sched.self_positions()) {
@@ -123,11 +130,14 @@ void scatter_append(sim::Comm& comm, const LightweightSchedule& sched,
   }
 
   for (const auto& [proc, count] : sched.fetch_counts()) {
-    std::vector<T> buf = comm.recv<T>(proc, tag);
-    CHAOS_CHECK(static_cast<GlobalIndex>(buf.size()) == count,
+    const sim::Payload wire = comm.recv_payload(proc, tag);
+    const auto n = static_cast<std::size_t>(count);
+    CHAOS_CHECK(wire.size() == n * sizeof(T),
                 "incoming item count does not match schedule");
-    out.insert(out.end(), buf.begin(), buf.end());
-    comm.charge_work(costs::pack_work(buf.size(), sizeof(T)));
+    const std::size_t at = out.size();
+    out.resize(at + n);
+    std::memcpy(out.data() + at, wire.data(), wire.size());
+    comm.charge_work(costs::pack_work(n, sizeof(T)));
   }
 }
 

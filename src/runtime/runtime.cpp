@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "compile/locality.hpp"
 #include "runtime/step_graph.hpp"
 
 namespace chaos {
@@ -551,33 +550,6 @@ const compile::SchedulePlan* Runtime::plan_of(const ScheduleEntry& e) {
       return nullptr;
   }
   return nullptr;
-}
-
-std::vector<GlobalIndex> Runtime::remap_ghost_locality(DistHandle h) {
-  CHAOS_CHECK(engine_.idle(),
-              "locality remap with engine operations in flight");
-  DistEntry& de = dist_entry(h);
-  std::vector<GlobalIndex> perm = de.registry.remap_ghost_locality(comm_);
-  if (perm.empty()) return perm;
-
-  // Merged/incremental schedules derived from this epoch reference the
-  // renumbered ghost slots too; rewrite them through the same permutation
-  // so their handles stay valid. kOnce schedules number ghosts through
-  // their own scratch table and are untouched.
-  const GlobalIndex owned = de.dist->owned_count(comm_.rank());
-  for (ScheduleEntry& e : scheds_) {
-    if (e.dist != h.id || e.revoked) continue;
-    if (e.kind != ScheduleKind::kMerged &&
-        e.kind != ScheduleKind::kIncremental)
-      continue;
-    std::vector<core::ScheduleBlock> send = e.sched.send_blocks();
-    std::vector<core::ScheduleBlock> recv = e.sched.recv_blocks();
-    for (core::ScheduleBlock& b : recv)
-      compile::apply_ghost_permutation(perm, owned, b.indices);
-    e.sched = core::Schedule(std::move(send), std::move(recv));
-    e.compiled.reset();
-  }
-  return perm;
 }
 
 const core::Schedule& Runtime::schedule_of(const ScheduleEntry& e) const {

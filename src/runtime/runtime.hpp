@@ -236,18 +236,6 @@ class Runtime {
   void set_schedule_compilation(bool on) { schedule_compilation_ = on; }
   bool schedule_compilation() const { return schedule_compilation_; }
 
-  /// Locality remap (compile/locality.hpp): renumber epoch `h`'s ghost
-  /// region so cached schedules' recv blocks land consecutively in wire
-  /// order, creating the runs schedule compilation feeds on. Rewrites the
-  /// epoch's inspector state, cached schedules, localized references, and
-  /// any merged/incremental schedules derived from them; compiled plans
-  /// re-lower on next use. Ghost data already gathered under the old
-  /// numbering is invalidated — run it between inspection and execution.
-  /// Purely local (not collective); requires an idle engine. Returns
-  /// new_slot_of_old (empty when the numbering was already optimal) so
-  /// callers can rewrite auxiliary per-slot state of their own.
-  std::vector<GlobalIndex> remap_ghost_locality(DistHandle h);
-
   /// Registry memory hygiene (ROADMAP): free the inspector state (hash
   /// table, cached plans) and derived-schedule storage of every retired
   /// epoch. Handles bound to retired epochs were already invalid, so this

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "compile/locality.hpp"
 #include "core/costs.hpp"
 
 namespace chaos::runtime {
@@ -125,66 +124,27 @@ void ScheduleRegistry::note_external_compile(
   stats_.cross_block_runs += s.cross_block_runs;
 }
 
-std::vector<GlobalIndex> ScheduleRegistry::remap_ghost_locality(
-    sim::Comm& comm) {
-  ++stats_.locality_remaps;
-  if (!hash_ || hash_->ghost_count() == 0) return {};
-
-  // Schedules in first-plan order: the loop planned first claims its slots
-  // first, so its recv blocks become fully contiguous.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> order_ids;
-  order_ids.reserve(loops_.size());
-  for (const auto& [id, cached] : loops_)
-    order_ids.emplace_back(cached.order, id);
-  std::sort(order_ids.begin(), order_ids.end());
-  std::vector<const core::Schedule*> scheds;
-  scheds.reserve(order_ids.size());
-  for (const auto& [ord, id] : order_ids)
-    scheds.push_back(&loops_.at(id).plan.schedule);
-
-  const GlobalIndex owned = hash_->owned_count();
-  std::vector<GlobalIndex> perm = compile::ghost_locality_permutation(
-      owned, hash_->ghost_count(), scheds);
-  if (perm.empty()) return perm;
-
-  hash_->permute_ghosts(perm);
-  double touched = static_cast<double>(perm.size());
-  for (auto& [id, cached] : loops_) {
-    compile::apply_ghost_permutation(perm, owned, cached.plan.local_refs);
-    std::vector<core::ScheduleBlock> send =
-        cached.plan.schedule.send_blocks();
-    std::vector<core::ScheduleBlock> recv =
-        cached.plan.schedule.recv_blocks();
-    for (core::ScheduleBlock& b : recv) {
-      compile::apply_ghost_permutation(perm, owned, b.indices);
-      touched += static_cast<double>(b.indices.size());
-    }
-    cached.plan.schedule = core::Schedule(std::move(send), std::move(recv));
-    cached.compiled.reset();  // re-lower over the run-friendly numbering
-    touched += static_cast<double>(cached.plan.local_refs.size());
-  }
-  comm.charge_work(touched * core::costs::kDeltaScan);
-  return perm;
-}
-
 namespace {
 
 /// Carry a schedule across epochs: every element it touches is home-stable,
 /// so the send side (owner-local offsets) is unchanged and only the recv
-/// side (this rank's ghost slots) is rewritten through the old-local ->
-/// new-local map. No request exchange.
+/// side (this rank's ghost slots) is rewritten from the old local index,
+/// through the seeded entry id, to the new local index. No request
+/// exchange.
 core::Schedule patch_schedule(sim::Comm& comm, const core::Schedule& prior,
-                              const std::vector<GlobalIndex>& local_remap) {
+                              const std::vector<std::ptrdiff_t>& new_id,
+                              const core::IndexHashTable& hash) {
   std::vector<core::ScheduleBlock> send = prior.send_blocks();
   std::vector<core::ScheduleBlock> recv = prior.recv_blocks();
   double entries = 0;
   for (core::ScheduleBlock& b : recv) {
     for (GlobalIndex& i : b.indices) {
-      CHAOS_ASSERT(i >= 0 &&
-                       static_cast<std::size_t>(i) < local_remap.size() &&
-                       local_remap[static_cast<std::size_t>(i)] >= 0,
+      CHAOS_ASSERT(i >= 0 && static_cast<std::size_t>(i) < new_id.size() &&
+                       new_id[static_cast<std::size_t>(i)] >= 0,
                    "carried schedule references an unseeded ghost slot");
-      i = local_remap[static_cast<std::size_t>(i)];
+      i = hash.entries()[static_cast<std::size_t>(
+                             new_id[static_cast<std::size_t>(i)])]
+              .local_index;
     }
     entries += static_cast<double>(b.indices.size());
   }
@@ -228,17 +188,16 @@ void ScheduleRegistry::seed_from(sim::Comm& comm,
   }
 
   // Per old local index: the new entry id once seeded (kQueued while its
-  // re-translation is pending), the re-translated Home of an unstable
-  // entry, and the new local index, which rewrites the recv side of
-  // carried schedules.
+  // re-translation is pending; it also rewrites the recv side of carried
+  // schedules) and the re-translated Home of an unstable entry.
   constexpr std::ptrdiff_t kUnseeded = -1, kQueued = -2;
   std::vector<std::ptrdiff_t> new_id(extent, kUnseeded);
   std::vector<core::Home> fresh_home(extent);
-  std::vector<GlobalIndex> local_remap(extent, -1);
 
-  // Replay loops in first-plan order: ghost slots are then assigned in
-  // exactly the first-encounter order a cold replay of the same plan calls
-  // would produce (this is what the equivalence suite checks bitwise).
+  // Replay loops in first-plan order: entries are then inserted in exactly
+  // the first-encounter order a cold replay of the same plan calls would
+  // produce, and number_fresh() numbers each loop's new entries as hash()
+  // does (this is what the equivalence suite checks bitwise).
   std::vector<std::pair<std::uint64_t, std::uint64_t>> order_ids;
   order_ids.reserve(prior.loops_.size());
   for (const auto& [id, cached] : prior.loops_)
@@ -295,30 +254,31 @@ void ScheduleRegistry::seed_from(sim::Comm& comm,
       fresh_home[queued[i]] = fresh[i];
 
     // Pass B: replay the reference stream, carrying stable Homes forward.
+    // local_refs hold entry ids until this loop's new entries are numbered.
     CachedLoop nl;
     nl.version = pl.version;
     nl.revision = pl.revision;
     nl.order = next_order_++;
     nl.plan.stamp = stamp;
     nl.plan.local_refs.reserve(refs.size());
+    const std::size_t first = hash_->entries().size();
     double seed_work = 0;
     for (GlobalIndex lr : refs) {
       const auto at = static_cast<std::size_t>(lr);
       if (new_id[at] >= 0) {
-        nl.plan.local_refs.push_back(
-            hash_->stamp_entry(static_cast<std::size_t>(new_id[at]), stamp));
+        hash_->stamp_entry(static_cast<std::size_t>(new_id[at]), stamp);
         seed_work += core::costs::kSeedHit;
-        continue;
+      } else {
+        new_id[at] = static_cast<std::ptrdiff_t>(hash_->seed_ref(
+            rev[at]->global, stable[at] ? rev[at]->home : fresh_home[at],
+            stamp, stable[at] != 0));
+        seed_work += core::costs::kSeedInsert;
       }
-      const auto seeded =
-          hash_->seed_ref(me, rev[at]->global,
-                          stable[at] ? rev[at]->home : fresh_home[at], stamp,
-                          stable[at] != 0);
-      new_id[at] = static_cast<std::ptrdiff_t>(seeded.id);
-      local_remap[at] = seeded.local_index;
-      nl.plan.local_refs.push_back(seeded.local_index);
-      seed_work += core::costs::kSeedInsert;
+      nl.plan.local_refs.push_back(new_id[at]);
     }
+    hash_->number_fresh(first, me, comm.size());
+    for (GlobalIndex& r : nl.plan.local_refs)
+      r = hash_->entries()[static_cast<std::size_t>(r)].local_index;
     nl.plan.local_extent = hash_->local_extent();
     comm.charge_work(seed_work);
 
@@ -334,7 +294,8 @@ void ScheduleRegistry::seed_from(sim::Comm& comm,
     const int stable_all = comm.allreduce_min(
         (loop_stable && prior.scan_order_pristine_) ? 1 : 0);
     if (stable_all == 1) {
-      nl.plan.schedule = patch_schedule(comm, pl.plan.schedule, local_remap);
+      nl.plan.schedule =
+          patch_schedule(comm, pl.plan.schedule, new_id, *hash_);
       ++stats_.patched_schedules;
       if (pl.compiled) {
         // A patched schedule keeps its send side verbatim, so the carried

@@ -59,8 +59,9 @@ class ScheduleRegistry {
   /// from the previous epoch's registry plus the owner delta between the
   /// two maps. Every cached loop plan is replayed into a fresh hash table
   /// in first-plan order: entries whose Home the delta proves stable carry
-  /// their translation (and ghost assignment) forward without a
-  /// translation-table lookup; only unstable entries are re-translated.
+  /// their translation forward without a translation-table lookup; only
+  /// unstable entries are re-translated. Each loop's new entries get
+  /// ghost slots exactly as IndexHashTable::hash numbers them.
   /// Loops touching exclusively home-stable elements machine-wide keep
   /// their prior schedule with the recv side rewritten to the new ghost
   /// slots (no request exchange); the rest regenerate their schedule from
@@ -87,17 +88,6 @@ class ScheduleRegistry {
 
   const compile::Options& compile_options() const { return copts_; }
   void set_compile_options(const compile::Options& o) { copts_ = o; }
-
-  /// Locality remap (compile/locality.hpp): renumber this epoch's ghost
-  /// region so cached schedules' recv blocks land consecutively in wire
-  /// order, then rewrite the hash table, localized references, and recv
-  /// sides of all cached schedules through the renumbering. Compiled plans
-  /// are dropped (the next compiled_plan() call re-lowers over the new,
-  /// run-friendlier numbering). Purely local. Returns new_slot_of_old
-  /// (empty if the numbering was already optimal); the caller must rewrite
-  /// any schedules it derived from this registry through the same
-  /// permutation, and ghost data already gathered is invalidated.
-  std::vector<GlobalIndex> remap_ghost_locality(sim::Comm& comm);
 
   /// Statistics the benches report: how often preprocessing was reused.
   struct Stats {
@@ -126,7 +116,6 @@ class ScheduleRegistry {
     /// Compiled plans dropped because seed_from had to rebuild their
     /// schedule, then lowered again on next use.
     std::uint64_t recompiles_after_repartition = 0;
-    std::uint64_t locality_remaps = 0;  ///< remap_ghost_locality passes run
   };
   const Stats& stats() const { return stats_; }
 
@@ -164,7 +153,7 @@ class ScheduleRegistry {
     lang::LoopPlan plan;
     /// Compiled execution plan, lowered lazily by compiled_plan() and
     /// dropped whenever the schedule changes under it (re-inspection,
-    /// locality remap, seed-time rebuild).
+    /// seed-time rebuild).
     std::unique_ptr<const compile::SchedulePlan> compiled;
     /// Set when seed_from rebuilt this loop's schedule in a successor epoch
     /// and the prior epoch had compiled it: the next compiled_plan() call

@@ -17,8 +17,9 @@
 //     zero-stride repeats falling to the (merged) residue, hull bounds
 //   - the three executor kernels against hand-walked expectations
 //   - carry_patched reusing send-side plans verbatim across a repartition
-//   - remap_ghost_locality: the permuted ghost region still localizes and
-//     gathers the right global elements, compiled and interpreted alike
+//   - wire-order ghost numbering: every freshly inspected loop's receive
+//     blocks (cold and seeded) lower to one stride-1 run each, and still
+//     localize and gather the right global elements
 //   - the registry counters (compiled_plans, carried_compiled_plans,
 //     recompiles_after_repartition) proving both cross-epoch paths ran
 //
@@ -366,74 +367,114 @@ TEST(ScheduleCompile, RandomizedEquivalencePaged) {
   }
 }
 
-// ---- locality remap --------------------------------------------------------
+// ---- wire-order ghost numbering ---------------------------------------------
 
-/// After remap_ghost_locality the ghost region is renumbered, so results
-/// are checked two ways: against the interpreted arm run through the SAME
-/// deterministic remap, and against ground truth through the loop's
-/// re-localized references (data[local_ref[j]] must hold the value of
-/// global element refs[j], whatever slot that now is).
-TEST(ScheduleCompile, RandomizedLocalityRemapEquivalence) {
+/// The inspector numbers each inspection's new ghost slots grouped by
+/// owner, in insertion order within an owner, so every receive block of a
+/// freshly inspected loop is one stride-1 run and lowers to one copy. Two
+/// loops over disjoint halves of the index space make both inspections
+/// fresh; a repartition round checks that seeding numbers them the same
+/// way. Compiled execution must still match the interpreted arm bitwise,
+/// and the localized references must still address the right globals.
+TEST(ScheduleCompile, RandomizedFreshRecvBlocksLowerToOneRun) {
   const std::uint64_t seeds = seed_count(3, "CHAOS_COMPILE_SEEDS");
   const std::uint64_t base = env_seed_u64("CHAOS_COMPILE_SEED_BASE", 1);
   for (std::uint64_t s = 0; s < seeds; ++s) {
     const std::uint64_t seed = base + s;
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const int P = 3;
-    const GlobalIndex n = 96;
+    Rng shape_rng(seed);
+    const int P = 3 + static_cast<int>(shape_rng.below(3));
+    const GlobalIndex n = 120 + static_cast<GlobalIndex>(shape_rng.below(200));
     Machine m(P);
     m.run([&](Comm& comm) {
       Runtime comp(comm);
       Runtime interp(comm);
       interp.set_schedule_compilation(false);
-      const DistHandle dc = comp.block(n);
-      const DistHandle di = interp.block(n);
 
-      Rng ref_rng(seed * 7919 + 211 +
+      Rng map_rng(seed * 1000003 + 29);
+      std::vector<int> map(static_cast<std::size_t>(n));
+      for (int& p : map) p = static_cast<int>(map_rng.below(P));
+      const DistHandle dc = comp.irregular(map);
+      const DistHandle di = interp.irregular(map);
+
+      Rng ref_rng(seed * 7919 + 307 +
                   static_cast<std::uint64_t>(comm.rank()) * 65537);
-      std::vector<GlobalIndex> refs = draw_refs(0, n, ref_rng);
-      lang::IndirectionArray ind(refs);
-      const LoopHandle lc = comp.bind(dc, ind);
-      const LoopHandle li = interp.bind(di, ind);
-      const ScheduleHandle hc = comp.inspect(lc);
-      const ScheduleHandle hi = interp.inspect(li);
+      std::vector<std::vector<GlobalIndex>> refs(2);
+      std::vector<lang::IndirectionArray> inds;
+      for (std::size_t l = 0; l < refs.size(); ++l) {
+        const GlobalIndex lo = static_cast<GlobalIndex>(l) * (n / 2);
+        for (int j = 0; j < 64; ++j)
+          refs[l].push_back(lo + static_cast<GlobalIndex>(ref_rng.below(
+                                     static_cast<std::uint64_t>(n / 2))));
+        inds.emplace_back(refs[l]);
+      }
 
-      auto filled = [&](Runtime& rt, DistHandle d) {
-        std::vector<double> a(static_cast<std::size_t>(rt.local_extent(d)),
-                              -9.0);
-        const std::vector<GlobalIndex> own = rt.owned_globals(d);
-        for (std::size_t i = 0; i < own.size(); ++i)
-          a[i] = static_cast<double>(3 * own[i] + 17);
-        return a;
+      auto check_epoch = [&](DistHandle hdc, DistHandle hdi,
+                             const std::string& phase) {
+        for (std::size_t l = 0; l < inds.size(); ++l) {
+          const std::string what = phase + " loop " + std::to_string(l);
+          const LoopHandle lc = comp.bind(hdc, inds[l]);
+          const ScheduleHandle hc = comp.inspect(lc);
+          const ScheduleHandle hi = interp.inspect(hdi, inds[l]);
+
+          const Schedule& sched = comp.schedule(hc);
+          const compile::SchedulePlan plan =
+              compile::SchedulePlan::compile(sched);
+          ASSERT_EQ(plan.recv().size(), sched.recv_blocks().size());
+          for (std::size_t b = 0; b < plan.recv().size(); ++b) {
+            const std::vector<GlobalIndex>& idx =
+                sched.recv_blocks()[b].indices;
+            for (std::size_t k = 0; k < idx.size(); ++k)
+              ASSERT_EQ(idx[k], idx[0] + static_cast<GlobalIndex>(k))
+                  << what << " recv block " << b;
+            const compile::BlockPlan& bp = plan.recv()[b];
+            if (bp.count < compile::Options{}.min_run) continue;
+            ASSERT_EQ(bp.ops.size(), 1u) << what << " recv block " << b;
+            EXPECT_EQ(bp.ops[0].stride, 1);
+            EXPECT_TRUE(bp.residue.empty());
+          }
+
+          const auto extent = static_cast<std::size_t>(comp.local_extent(hdc));
+          ASSERT_EQ(extent, static_cast<std::size_t>(interp.local_extent(hdi)));
+          std::vector<double> filled(extent, -9.0);
+          const std::vector<GlobalIndex> own = comp.owned_globals(hdc);
+          for (std::size_t i = 0; i < own.size(); ++i)
+            filled[i] = static_cast<double>(3 * own[i] + 17);
+          for (int dir = 0; dir < 3; ++dir) {
+            std::vector<double> a = filled, b = filled;
+            if (dir == 0) {
+              comp.gather<double>(hc, std::span<double>{a});
+              interp.gather<double>(hi, std::span<double>{b});
+            } else if (dir == 1) {
+              comp.scatter<double>(hc, std::span<double>{a});
+              interp.scatter<double>(hi, std::span<double>{b});
+            } else {
+              comp.scatter_add<double>(hc, std::span<double>{a});
+              interp.scatter_add<double>(hi, std::span<double>{b});
+            }
+            EXPECT_TRUE(
+                ts::spans_equal(a, b, what + " dir " + std::to_string(dir)));
+          }
+
+          // Ground truth through the localized references.
+          std::vector<double> g = filled;
+          comp.gather<double>(hc, std::span<double>{g});
+          const std::span<const GlobalIndex> lrefs = comp.local_refs(lc);
+          ASSERT_EQ(lrefs.size(), refs[l].size());
+          for (std::size_t j = 0; j < lrefs.size(); ++j)
+            EXPECT_EQ(g[static_cast<std::size_t>(lrefs[j])],
+                      static_cast<double>(3 * refs[l][j] + 17))
+                << what << " ref " << j;
+        }
       };
 
-      // Compile, then remap: the pass must invalidate the cached plan and
-      // the rewritten schedule must re-verify. Both arms remap so their
-      // ghost numbering stays comparable — the pass is deterministic.
-      std::vector<double> warm = filled(comp, dc);
-      comp.gather<double>(hc, std::span<double>{warm});
-      const std::vector<GlobalIndex> perm_c = comp.remap_ghost_locality(dc);
-      const std::vector<GlobalIndex> perm_i = interp.remap_ghost_locality(di);
-      EXPECT_TRUE(ts::spans_equal(perm_c, perm_i, "remap permutation"));
-
-      std::vector<double> a = filled(comp, dc);
-      std::vector<double> b = filled(interp, di);
-      comp.gather<double>(hc, std::span<double>{a});
-      interp.gather<double>(hi, std::span<double>{b});
-      EXPECT_TRUE(ts::spans_equal(a, b, "post-remap gather"));
-      comp.scatter_add<double>(hc, std::span<double>{a});
-      interp.scatter_add<double>(hi, std::span<double>{b});
-      EXPECT_TRUE(ts::spans_equal(a, b, "post-remap scatter_add"));
-
-      // Ground truth through the re-localized references.
-      std::vector<double> g = filled(comp, dc);
-      comp.gather<double>(hc, std::span<double>{g});
-      const std::span<const GlobalIndex> lrefs = comp.local_refs(lc);
-      ASSERT_EQ(lrefs.size(), refs.size());
-      for (std::size_t j = 0; j < refs.size(); ++j)
-        EXPECT_EQ(g[static_cast<std::size_t>(lrefs[j])],
-                  static_cast<double>(3 * refs[j] + 17))
-            << "ref " << j;
+      check_epoch(dc, di, "cold");
+      Rng move_rng(seed * 31 + 5);
+      std::vector<int> map2 = map;
+      for (int& p : map2)
+        if (move_rng.below(4) == 0) p = static_cast<int>(move_rng.below(P));
+      check_epoch(comp.repartition(dc, map2), interp.repartition(di, map2),
+                  "seeded");
     });
   }
 }

@@ -169,6 +169,63 @@ TEST(IndexHashTable, CompactReclaimsDeadSlots) {
   });
 }
 
+// 12 elements over 3 ranks: 0..3 on proc 0, 4..7 on proc 1, 8..11 on
+// proc 2. Rank 0 owns 4, so its ghost slots start at local index 4.
+TranslationTable three_rank_table(Comm& c) {
+  std::vector<int> full{0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2};
+  return TranslationTable::from_full_map(c, full);
+}
+
+TEST(IndexHashTable, RehashKeepsOldSlotsAndGroupsNewGhostsByOwner) {
+  Machine m(3);
+  m.run([](Comm& c) {
+    auto t = three_rank_table(c);
+    if (c.rank() != 0) return;
+    IndexHashTable h(t.owned_count(0));
+    // First encounter interleaves owners 2, 1, 2, 1; slots are handed out
+    // owner by owner, first-encounter order within each owner.
+    std::vector<GlobalIndex> a{9, 5, 0, 10, 6, 5};
+    h.hash(c, t, a);
+    EXPECT_EQ(a, (std::vector<GlobalIndex>{6, 4, 0, 7, 5, 4}));
+    EXPECT_EQ(h.ghost_count(), 4);
+
+    // A re-hash adding new references: old slots are untouched, and the
+    // new ghosts take the next slots, again grouped by owner.
+    std::vector<GlobalIndex> b{11, 9, 7, 8, 6, 4};
+    h.hash(c, t, b);
+    EXPECT_EQ(b, (std::vector<GlobalIndex>{10, 6, 8, 11, 5, 9}));
+    EXPECT_EQ(h.find(9)->local_index, 6);
+    EXPECT_EQ(h.find(5)->local_index, 4);
+    EXPECT_EQ(h.find(10)->local_index, 7);
+    EXPECT_EQ(h.find(6)->local_index, 5);
+    EXPECT_EQ(h.ghost_count(), 8);
+  });
+}
+
+TEST(IndexHashTable, CompactKeepsSurvivorsInSlotOrder) {
+  Machine m(3);
+  m.run([](Comm& c) {
+    auto t = three_rank_table(c);
+    if (c.rank() != 0) return;
+    IndexHashTable h(t.owned_count(0));
+    // Insertion order 9, 5, 10, 6; slots 5 -> 4, 6 -> 5, 9 -> 6, 10 -> 7.
+    std::vector<GlobalIndex> a{9, 5, 10, 6};
+    const Stamp sa = h.hash(c, t, a);
+    std::vector<GlobalIndex> b{9, 7, 5};  // 7 -> slot 8
+    h.hash(c, t, b);
+    h.clear_stamp(sa);  // 10 and 6 die; 9, 5 and 7 survive
+    h.compact();
+    // Survivors keep their slot order (5 before 9: owner 1 before owner
+    // 2), not their insertion order (9 before 5).
+    EXPECT_EQ(h.ghost_count(), 3);
+    EXPECT_EQ(h.find(5)->local_index, 4);
+    EXPECT_EQ(h.find(9)->local_index, 5);
+    EXPECT_EQ(h.find(7)->local_index, 6);
+    EXPECT_EQ(h.find(10), nullptr);
+    EXPECT_EQ(h.find(6), nullptr);
+  });
+}
+
 TEST(IndexHashTable, ManyIndicesForceTableGrowth) {
   Machine m(2);
   m.run([](Comm& c) {

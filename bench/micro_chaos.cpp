@@ -116,6 +116,51 @@ void BM_HashRehashDuplicates(benchmark::State& state) {
 }
 BENCHMARK(BM_HashRehashDuplicates)->Unit(benchmark::kMicrosecond);
 
+// halo's edge stream on rank 1 of four (perfbench/src/halo.cpp): every
+// owned element i references i, i + 1 and i + N/8, and every third one a
+// random partner — 560k refs over ~204k distinct globals, N = 480k.
+constexpr GlobalIndex kHaloElements = 480000;
+
+std::vector<GlobalIndex> halo_ref_stream() {
+  constexpr GlobalIndex lo = kHaloElements / 4, hi = 2 * lo;
+  Rng rng(3);
+  std::vector<GlobalIndex> refs;
+  refs.reserve(static_cast<std::size_t>(hi - lo) * 5);
+  for (GlobalIndex i = lo; i < hi; ++i) {
+    for (GlobalIndex j : {i, (i + 1) % kHaloElements, i,
+                          (i + kHaloElements / 8) % kHaloElements})
+      refs.push_back(j);
+    if (i % 3 == 0) {
+      refs.push_back(i);
+      refs.push_back(static_cast<GlobalIndex>(
+          rng.below(static_cast<std::uint64_t>(kHaloElements))));
+    }
+  }
+  return refs;
+}
+
+void BM_HashColdHaloStream(benchmark::State& state) {
+  // A cold inspection of halo's stream into a fresh table: the set-up cost
+  // of the halo workload's index analysis.
+  sim::Machine machine(1);
+  const std::vector<GlobalIndex> stream = halo_ref_stream();
+  machine.run([&](sim::Comm& comm) {
+    std::vector<int> map(static_cast<size_t>(kHaloElements), 0);
+    auto table = core::TranslationTable::from_full_map(comm, map);
+    for (auto _ : state) {
+      std::vector<GlobalIndex> refs = stream;
+      core::IndexHashTable hash(kHaloElements);
+      hash.hash(comm, table, refs);
+      benchmark::DoNotOptimize(refs.data());
+    }
+  });
+  state.counters["time_per_ref"] = benchmark::Counter(
+      static_cast<double>(stream.size()) *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_HashColdHaloStream)->Unit(benchmark::kMillisecond);
+
 void BM_SeedFromRepartition(benchmark::State& state) {
   // An RCB-style boundary move (every slab boundary shifts by 150 atoms, so
   // only rank 0's offsets survive) seeds the next epoch's registry from the

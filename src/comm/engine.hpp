@@ -209,6 +209,13 @@ class Engine {
   /// spare wire buffers), for Runtime::registry_bytes accounting.
   std::size_t footprint_bytes() const;
 
+  /// Spare wire buffers held for reuse (at most two per peer).
+  std::size_t spare_payloads() const {
+    std::size_t n = 0;
+    for (const PeerWire& w : wire_) n += w.spares.size();
+    return n;
+  }
+
   /// Release drained bookkeeping and the wire-buffer pool (requires an idle
   /// engine; no-op otherwise). Returns the bytes released. Invalidates old
   /// handles, like the idle recycling at open_batch.

@@ -1,5 +1,6 @@
 #include "core/hash_table.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "core/costs.hpp"
@@ -8,45 +9,31 @@ namespace chaos::core {
 
 IndexHashTable::IndexHashTable(GlobalIndex owned_count) : owned_(owned_count) {
   CHAOS_CHECK(owned_count >= 0);
-  index_.assign(64, -1);
 }
 
-std::uint64_t IndexHashTable::mix(GlobalIndex g) {
-  std::uint64_t z = static_cast<std::uint64_t>(g) + 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+void IndexHashTable::cover(GlobalIndex n) {
+  const auto pages = static_cast<std::size_t>((n + kPage - 1) >> kPageBits);
+  if (dir_.size() < pages) dir_.resize(pages, -1);
 }
 
-std::size_t IndexHashTable::probe(GlobalIndex g) const {
-  const std::size_t mask = index_.size() - 1;
-  std::size_t at = static_cast<std::size_t>(mix(g)) & mask;
-  for (;;) {
-    const std::int32_t id = index_[at];
-    if (id < 0) return at;  // empty slot: not present
-    if (entries_[static_cast<std::size_t>(id)].global == g) return at;
-    at = (at + 1) & mask;
+std::int32_t& IndexHashTable::cell(GlobalIndex g) {
+  std::int32_t& base = dir_[static_cast<std::size_t>(g >> kPageBits)];
+  if (base < 0) {
+    // Geometric growth, capped at one page per directory slot.
+    if (slab_.size() == slab_.capacity())
+      slab_.reserve(std::min(2 * slab_.size() + kPage, dir_.size() * kPage));
+    base = static_cast<std::int32_t>(slab_.size());
+    slab_.resize(slab_.size() + kPage, -1);
   }
-}
-
-void IndexHashTable::grow() {
-  std::vector<std::int32_t> old = std::move(index_);
-  index_.assign(old.size() * 2, -1);
-  const std::size_t mask = index_.size() - 1;
-  for (std::int32_t id : old) {
-    if (id < 0) continue;
-    std::size_t at = static_cast<std::size_t>(
-                         mix(entries_[static_cast<std::size_t>(id)].global)) &
-                     mask;
-    while (index_[at] >= 0) at = (at + 1) & mask;
-    index_[at] = id;
-  }
+  return slab_[static_cast<std::size_t>(base + (g & (kPage - 1)))];
 }
 
 const IndexHashTable::Entry* IndexHashTable::find(GlobalIndex g) const {
-  const std::size_t at = probe(g);
-  if (index_[at] < 0) return nullptr;
-  return &entries_[static_cast<std::size_t>(index_[at])];
+  const auto page = static_cast<std::size_t>(g >> kPageBits);
+  if (g < 0 || page >= dir_.size() || dir_[page] < 0) return nullptr;
+  const std::int32_t id =
+      slab_[static_cast<std::size_t>(dir_[page] + (g & (kPage - 1)))];
+  return id < 0 ? nullptr : &entries_[static_cast<std::size_t>(id)];
 }
 
 Stamp IndexHashTable::allocate_stamp() {
@@ -60,22 +47,20 @@ Stamp IndexHashTable::allocate_stamp() {
 
 std::size_t IndexHashTable::seed_ref(GlobalIndex g, const Home& home,
                                     Stamp stamp, bool carried) {
-  if (entries_.size() * 10 >= index_.size() * 7) grow();
-  const std::size_t at = probe(g);
-  CHAOS_ASSERT(index_[at] < 0, "global already seeded; use stamp_entry");
+  CHAOS_ASSERT(g >= 0, "seeding a negative global index");
+  cover(g + 1);
+  std::int32_t& slot = cell(g);
+  CHAOS_ASSERT(slot < 0, "global already seeded; use stamp_entry");
   CHAOS_ASSERT(home.proc >= 0, "seeding a new entry requires a Home");
   const std::size_t id = entries_.size();
   entries_.push_back(Entry{g, home, -1, stamp});
-  index_[at] = static_cast<std::int32_t>(id);
+  slot = static_cast<std::int32_t>(id);
   ++stats_.inserts;
   if (carried) ++stats_.reused_homes;
   return id;
 }
 
 void IndexHashTable::stamp_entry(std::size_t id, Stamp stamp) {
-  // Grow exactly when a probing hit would have, so the table's footprint
-  // does not depend on whether repeat references probe.
-  if (entries_.size() * 10 >= index_.size() * 7) grow();
   entries_[id].stamps |= stamp;
   ++stats_.hits;
 }
@@ -106,42 +91,60 @@ Stamp IndexHashTable::hash(sim::Comm& comm, const TranslationTable& table,
   const Stamp stamp = allocate_stamp();
 
   // Pass 1: enter indices, overwriting each with its entry id; collect
-  // globals that need translation. New entries are appended, so this
-  // call's are exactly entries_[first..].
+  // globals that need translation. This call's new entries will be exactly
+  // entries_[first..], in first-encounter order; they are appended once
+  // their homes are known, so entries_ grows once per call.
+  const GlobalIndex n = table.global_size();
+  cover(n);
   const std::size_t first = entries_.size();
   std::vector<GlobalIndex> unknown;
-  double hit_work = 0.0, insert_work = 0.0;
-  for (GlobalIndex& g : indices) {
-    if (entries_.size() * 10 >= index_.size() * 7) grow();
-    const std::size_t at = probe(g);
-    if (index_[at] >= 0) {
-      Entry& e = entries_[static_cast<std::size_t>(index_[at])];
-      e.stamps |= stamp;  // revives dead entries too; slot is stable
-      ++stats_.hits;
-      hit_work += costs::kHashHit;
-    } else {
-      index_[at] = static_cast<std::int32_t>(entries_.size());
-      entries_.push_back(Entry{g, Home{}, -1, stamp});
+  unknown.reserve(indices.size());  // untouched capacity costs nothing
+  std::size_t k = 0;
+  for (; k < indices.size(); ++k) {
+    GlobalIndex& g = indices[k];
+    if (static_cast<std::uint64_t>(g) >= static_cast<std::uint64_t>(n)) break;
+    std::int32_t& slot = cell(g);
+    if (slot < 0) {
+      slot = static_cast<std::int32_t>(first + unknown.size());
       unknown.push_back(g);
-      ++stats_.inserts;
-      insert_work += costs::kHashInsert;
+    } else if (static_cast<std::size_t>(slot) < first) {
+      // An older entry (revived if dead); new ones get the stamp below.
+      entries_[static_cast<std::size_t>(slot)].stamps |= stamp;
     }
-    g = index_[at];
+    g = slot;
   }
-  comm.charge_work(hit_work + insert_work);
+  if (k < indices.size()) {
+    // Undo pass 1 (the stamp bit was free, so no older entry held it).
+    for (GlobalIndex& g : indices.first(k))
+      g = g < static_cast<GlobalIndex>(first)
+              ? entries_[static_cast<std::size_t>(g)].global
+              : unknown[static_cast<std::size_t>(g) - first];
+    for (const GlobalIndex g : unknown) cell(g) = -1;
+    clear_stamp(stamp);
+    CHAOS_CHECK(false, "global index out of range");
+  }
+  const std::size_t hits = indices.size() - unknown.size();
+  stats_.hits += hits;
+  stats_.inserts += unknown.size();
+  comm.charge_work(static_cast<double>(hits) * costs::kHashHit +
+                   static_cast<double>(unknown.size()) * costs::kHashInsert);
 
   // Batch-translate the new indices (collective when the translation table
   // is distributed; every rank participates even with zero unknowns).
-  std::vector<Home> homes = table.lookup(comm, unknown);
+  const std::vector<Home> homes = table.lookup(comm, unknown);
   stats_.translations += unknown.size();
+  if (entries_.capacity() < first + unknown.size())
+    entries_.reserve(std::max(first + unknown.size(), 2 * entries_.size()));
+  bool tombstoned = false;
   for (std::size_t i = 0; i < unknown.size(); ++i) {
-    CHAOS_CHECK(homes[i].proc >= 0,
-                "indirection array references a deleted (tombstoned) element");
-    entries_[first + i].home = homes[i];
+    entries_.push_back(Entry{unknown[i], homes[i], -1, stamp});
+    tombstoned |= homes[i].proc < 0;
   }
+  CHAOS_CHECK(!tombstoned,
+              "indirection array references a deleted (tombstoned) element");
   number_fresh(first, comm.rank(), comm.size());
 
-  // Pass 2: rewrite the entry ids to local indices (no second probe).
+  // Pass 2: rewrite the entry ids to local indices (no second lookup).
   for (GlobalIndex& g : indices)
     g = entries_[static_cast<std::size_t>(g)].local_index;
   return stamp;
@@ -158,34 +161,31 @@ void IndexHashTable::clear_stamp(Stamp stamp) {
 void IndexHashTable::compact() {
   // Surviving ghosts keep their relative slot order, so each inspection's
   // owner grouping survives the re-pack.
+  std::erase_if(entries_, [](const Entry& e) { return e.stamps == 0; });
   std::vector<GlobalIndex> slot_of(static_cast<std::size_t>(next_ghost_slot_),
                                    -1);
   for (const Entry& e : entries_)
-    if (e.stamps != 0 && e.local_index >= owned_)
+    if (e.local_index >= owned_)
       slot_of[static_cast<std::size_t>(e.local_index - owned_)] = 0;
   next_ghost_slot_ = 0;
   for (GlobalIndex& s : slot_of)
     if (s == 0) s = owned_ + next_ghost_slot_++;
-
-  std::vector<Entry> survivors;
-  survivors.reserve(entries_.size());
-  for (Entry& e : entries_) {
-    if (e.stamps == 0) continue;
+  for (Entry& e : entries_)
     if (e.local_index >= owned_)
       e.local_index = slot_of[static_cast<std::size_t>(e.local_index - owned_)];
-    survivors.push_back(e);
-  }
-  entries_ = std::move(survivors);
-  // Rebuild the open-addressed index.
-  std::size_t cap = 64;
-  while (entries_.size() * 10 >= cap * 7) cap *= 2;
-  index_.assign(cap, -1);
-  const std::size_t mask = index_.size() - 1;
-  for (std::size_t id = 0; id < entries_.size(); ++id) {
-    std::size_t at = static_cast<std::size_t>(mix(entries_[id].global)) & mask;
-    while (index_[at] >= 0) at = (at + 1) & mask;
-    index_[at] = static_cast<std::int32_t>(id);
-  }
+
+  // Rebuild the index over the survivors only, with the slab sized to
+  // their pages, so pages whose entries all died are freed.
+  std::fill(dir_.begin(), dir_.end(), -1);
+  for (const Entry& e : entries_)
+    dir_[static_cast<std::size_t>(e.global >> kPageBits)] = 0;
+  const auto pages =
+      static_cast<std::size_t>(std::count(dir_.begin(), dir_.end(), 0));
+  std::fill(dir_.begin(), dir_.end(), -1);
+  slab_ = std::vector<std::int32_t>();
+  slab_.reserve(pages * kPage);
+  for (std::size_t id = 0; id < entries_.size(); ++id)
+    cell(entries_[id].global) = static_cast<std::int32_t>(id);
 }
 
 std::size_t IndexHashTable::live_entries() const {

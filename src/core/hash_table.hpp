@@ -16,6 +16,15 @@
 // indirection array finds most indices already present and skips their
 // translation — `Stats` exposes exactly how much work was avoided.
 //
+// It is still the paper's hash table (same entries, stamps and charges),
+// held as a direct map from global id to entry: a directory with one page
+// base per 64 ids and a slab of 64-id pages of entry ids, each page
+// allocated on first touch. A lookup is two dependent loads (no hash,
+// probe chain or rehash), and consecutive ids share a cache line. The
+// index holds 4 B per 64 ids of the global extent plus 256 B per touched
+// page: at most ~4.06 B per global id, the size of the owner map every
+// rank already holds. compact() frees pages whose entries all died.
+//
 // Ghost slots are numbered per `hash` call, in wire order: the call's new
 // off-processor entries take the next slots grouped by owner rank
 // (ascending), in insertion order within each owner. `build_schedule` walks
@@ -65,6 +74,8 @@ class IndexHashTable {
   /// Index analysis for one indirection array. Enters all indices, rewrites
   /// them to local indices in place, marks them with a fresh stamp (lowest
   /// free bit, so a just-cleared stamp is recycled), and returns that stamp.
+  /// Every index must lie in [0, table.global_size()); one outside throws
+  /// chaos::Error and leaves the table and `indices` as they were.
   ///
   /// Collective: all ranks must call together (translation of unknown
   /// indices may communicate when the table is distributed).
@@ -83,8 +94,8 @@ class IndexHashTable {
   // loop's new entries are numbered by number_fresh(), as hash() numbers
   // its own — which is what the randomized equivalence suite asserts. The
   // registry decides stability once per prior entry; the first reference
-  // to a global inserts it (seed_ref, one probe) and every later one is
-  // stamped straight into the remembered entry (stamp_entry, no probe).
+  // to a global inserts it (seed_ref, one index lookup) and every later one
+  // is stamped straight into the remembered entry (stamp_entry, no lookup).
   // Seeding therefore costs O(prior entries · log |delta|) + O(refs), with
   // no per-reference search.
 
@@ -119,8 +130,9 @@ class IndexHashTable {
   /// until compact().
   void clear_stamp(Stamp stamp);
 
-  /// Drop dead entries and re-pack ghost slots densely, keeping the
-  /// survivors' slot order. Invalidates previously built schedules.
+  /// Drop dead entries (and index pages left empty) and re-pack ghost slots
+  /// densely, keeping the survivors' slot order. Invalidates previously
+  /// built schedules.
   void compact();
 
   GlobalIndex owned_count() const { return owned_; }
@@ -134,11 +146,14 @@ class IndexHashTable {
   std::size_t live_entries() const;
   const Stats& stats() const { return stats_; }
 
-  /// Approximate heap footprint (entry + open-addressing storage), for
-  /// registry memory accounting (Runtime::compact).
+  /// Approximate heap footprint (entries + index), for registry memory
+  /// accounting (Runtime::compact).
   std::size_t footprint_bytes() const {
-    return entries_.capacity() * sizeof(Entry) +
-           index_.capacity() * sizeof(std::int32_t);
+    return entries_.capacity() * sizeof(Entry) + index_bytes();
+  }
+  /// The index's share: directory + pages, at most ~4.06 B per global id.
+  std::size_t index_bytes() const {
+    return (dir_.capacity() + slab_.capacity()) * sizeof(std::int32_t);
   }
 
   /// Visit live entries matching `expr` in insertion order.
@@ -154,14 +169,16 @@ class IndexHashTable {
   const Entry* find(GlobalIndex g) const;
 
  private:
-  std::size_t probe(GlobalIndex g) const;  // slot in index_, or empty slot
-  void grow();
-  static std::uint64_t mix(GlobalIndex g);
+  static constexpr int kPageBits = 6;  // 64 ids per page
+  static constexpr std::int32_t kPage = std::int32_t{1} << kPageBits;
+  void cover(GlobalIndex n);          // directory covers ids [0, n)
+  std::int32_t& cell(GlobalIndex g);  // g's entry id or -1; page on touch
 
   GlobalIndex owned_;
   GlobalIndex next_ghost_slot_ = 0;
   std::vector<Entry> entries_;       // insertion-ordered, stable ids
-  std::vector<std::int32_t> index_;  // open addressing: entry id or -1
+  std::vector<std::int32_t> dir_;   // per 64 ids: page base in slab_ or -1
+  std::vector<std::int32_t> slab_;  // 64-id pages: entry id or -1
   Stamp free_stamps_ = ~Stamp{0};
   Stats stats_;
 };

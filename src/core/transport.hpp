@@ -5,9 +5,9 @@
 //   gather       — forward: owners ship requested owned elements; the
 //                  requester places them at the schedule's ghost slots
 //                  (software caching + message vectorization).
-//   scatter(_op) — transpose: the requester ships its ghost values back;
-//                  the owner combines them into owned storage (replace,
-//                  accumulate, ...).
+//   scatter(_add) — transpose: the requester ships its ghost values back;
+//                  the owner combines them into owned storage (replace or
+//                  accumulate).
 //   transport    — forward execution between two distinct arrays (used by
 //                  remap, where data pushes from old owners to new owners,
 //                  including a self-block for elements that stay put).
@@ -56,15 +56,6 @@ void gather(sim::Comm& comm, const Schedule& sched, std::span<T> data,
             const compile::SchedulePlan* plan = nullptr) {
   comm::Engine engine(comm);
   engine.wait(engine.post_gather<T>(sched, data, plan));
-}
-
-/// Transpose execution with a combiner: ship ghost values back to owners;
-/// each owner applies `op(owned, incoming)` at the original send indices.
-template <typename T, typename Op>
-void scatter_op(sim::Comm& comm, const Schedule& sched, std::span<T> data,
-                Op op, const compile::SchedulePlan* plan = nullptr) {
-  comm::Engine engine(comm);
-  engine.wait(engine.post_scatter_op<T>(sched, data, op, plan));
 }
 
 /// Scatter with replacement (last writer per element wins; with CHAOS-built

@@ -7,11 +7,6 @@
 
 namespace chaos::part {
 
-double diffusion_work_units(std::size_t n, std::size_t moved) {
-  // One scan of the replicated map plus per-move donor/recipient search.
-  return static_cast<double>(n) + 8.0 * static_cast<double>(moved);
-}
-
 DiffusionResult diffuse_partition(std::span<const int> map,
                                   std::span<const double> rank_loads,
                                   double target_balance,

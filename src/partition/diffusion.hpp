@@ -58,8 +58,4 @@ DiffusionResult diffuse_partition(std::span<const int> map,
                                   double target_balance = 1.05,
                                   std::span<const double> elem_weights = {});
 
-/// Estimated sequential work (abstract units) of one diffusion run: the
-/// map scan plus per-move bookkeeping.
-double diffusion_work_units(std::size_t n, std::size_t moved);
-
 }  // namespace chaos::part

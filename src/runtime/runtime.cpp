@@ -209,10 +209,11 @@ std::size_t Runtime::compact() {
       e.compiled.reset();
     }
   }
-  // Engine bookkeeping (per-part completion state of drained batches) and
-  // the step graphs' cached chunk plans / color tables; both rebuild
-  // lazily on next use.
+  // Engine bookkeeping (per-part completion state of drained batches and
+  // the wire-buffer pools of both engines) and the step graphs' cached
+  // chunk plans / color tables; both rebuild lazily on next use.
   released += engine_.compact();
+  released += blocking_.compact();
   for (StepGraph* g : graphs_) released += g->release_chunk_plans();
   return released;
 }
@@ -231,7 +232,7 @@ std::size_t Runtime::registry_bytes() const {
     n += e.sched.footprint_bytes();
     if (e.compiled) n += e.compiled->footprint_bytes();
   }
-  n += engine_.footprint_bytes();
+  n += engine_.footprint_bytes() + blocking_.footprint_bytes();
   for (const StepGraph* g : graphs_) n += g->footprint_bytes();
   return n;
 }

@@ -395,14 +395,13 @@ class Runtime {
     const ScheduleEntry& e = checked(h);
     CHAOS_CHECK(static_cast<GlobalIndex>(data.size()) >= extent_of(e),
                 "data array smaller than the schedule's local extent");
-    core::gather<T>(comm_, schedule_of(e), data, plan_of(e));
+    blocking_.wait(blocking_.post_gather<T>(schedule_of(e), data, plan_of(e)));
   }
 
   template <typename T>
   void gather(ScheduleHandle h, lang::DistributedArray<T>& a) {
-    const ScheduleEntry& e = checked(h);
-    a.ensure_extent(extent_of(e));
-    core::gather<T>(comm_, schedule_of(e), a.local(), plan_of(e));
+    a.ensure_extent(extent_of(checked(h)));
+    gather<T>(h, a.local());
   }
 
   template <typename T>
@@ -410,7 +409,8 @@ class Runtime {
     const ScheduleEntry& e = checked(h);
     CHAOS_CHECK(static_cast<GlobalIndex>(data.size()) >= extent_of(e),
                 "data array smaller than the schedule's local extent");
-    core::scatter<T>(comm_, schedule_of(e), data, plan_of(e));
+    blocking_.wait(
+        blocking_.post_scatter<T>(schedule_of(e), data, plan_of(e)));
   }
 
   template <typename T>
@@ -418,14 +418,14 @@ class Runtime {
     const ScheduleEntry& e = checked(h);
     CHAOS_CHECK(static_cast<GlobalIndex>(data.size()) >= extent_of(e),
                 "data array smaller than the schedule's local extent");
-    core::scatter_add<T>(comm_, schedule_of(e), data, plan_of(e));
+    blocking_.wait(
+        blocking_.post_scatter_add<T>(schedule_of(e), data, plan_of(e)));
   }
 
   template <typename T>
   void scatter_add(ScheduleHandle h, lang::DistributedArray<T>& a) {
-    const ScheduleEntry& e = checked(h);
-    a.ensure_extent(extent_of(e));
-    core::scatter_add<T>(comm_, schedule_of(e), a.local(), plan_of(e));
+    a.ensure_extent(extent_of(checked(h)));
+    scatter_add<T>(h, a.local());
   }
 
   // ---- Phase F, asynchronous: the communication engine ----------------
@@ -440,6 +440,8 @@ class Runtime {
 
   /// The engine itself, for advanced control (test(), multiple batches).
   comm::Engine& engine() { return engine_; }
+  /// The engine behind the blocking gather/scatter/scatter_add (read-only).
+  const comm::Engine& blocking_engine() const { return blocking_; }
 
   template <typename T>
   comm::CommHandle gather_async(ScheduleHandle h, std::span<T> data) {
@@ -641,6 +643,9 @@ class Runtime {
 
   sim::Comm& comm_;
   comm::Engine engine_{comm_};
+  /// Blocking gather/scatter/scatter_add post and wait here, so their wire
+  /// buffers persist, and never flush an open batch of engine_.
+  comm::Engine blocking_{comm_};
   bool cross_epoch_reuse_ = true;
   bool schedule_compilation_ = true;
   std::vector<DistEntry> dists_;

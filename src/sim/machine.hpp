@@ -119,28 +119,16 @@ class Comm {
     return v[0];
   }
 
+  /// recv() without the element copy: the received payload is handed back
+  /// as it left the sender. Charged identically.
+  Payload recv_payload(int src, int tag);
   /// Non-blocking receive: if a message from exactly (src, tag) has
   /// already *arrived in modeled time* (its arrival is not after this
-  /// rank's clock), consume it into `out` — charging only the receive
-  /// overhead, never a wire wait — and return true; otherwise return
-  /// false without blocking. A polling loop must therefore advance its
-  /// own virtual clock (charge work) to ever observe a message that is
+  /// rank's clock), move its payload into `out` — charging only the
+  /// receive overhead, never a wire wait — and return true; otherwise
+  /// return false without blocking. A polling loop must therefore advance
+  /// its own virtual clock (charge work) to ever observe a message that is
   /// still in modeled transit.
-  template <typename T>
-  bool try_recv(int src, int tag, std::vector<T>& out) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    Payload bytes;
-    if (!try_recv_payload(src, tag, bytes)) return false;
-    CHAOS_CHECK(bytes.size() % sizeof(T) == 0,
-                "received payload size is not a multiple of element size");
-    out.resize(bytes.size() / sizeof(T));
-    if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
-    return true;
-  }
-
-  /// recv() and try_recv() without the element copy: the received
-  /// payload is handed back as it left the sender. Charged identically.
-  Payload recv_payload(int src, int tag);
   bool try_recv_payload(int src, int tag, Payload& out);
 
   /// Earliest modeled arrival among messages from (src, tag) that are

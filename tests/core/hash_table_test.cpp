@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/hash_table.hpp"
+#include "util/rng.hpp"
 
 namespace chaos::core {
 namespace {
@@ -260,6 +261,85 @@ TEST(IndexHashTable, StampExhaustionThrows) {
     }
     std::vector<GlobalIndex> copy = ind;
     EXPECT_THROW(h.hash(c, t, copy), Error);
+  });
+}
+
+// The first entries of the misuse corpus: an out-of-range indirection is
+// rejected by name before the table changes, and nothing is sized by it.
+TEST(IndexHashTable, OutOfRangeReferencesThrowAndLeaveTableUnchanged) {
+  Machine m(1);
+  m.run([](Comm& c) {
+    std::vector<int> full(10, 0);
+    auto t = TranslationTable::from_full_map(c, full);
+    IndexHashTable h(10);
+    for (const GlobalIndex bad :
+         {GlobalIndex{-1}, GlobalIndex{10}, GlobalIndex{1} << 40}) {
+      std::vector<GlobalIndex> ind{3, bad, 4};
+      try {
+        h.hash(c, t, ind);
+        ADD_FAILURE() << "no error for reference " << bad;
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("global index out of range"),
+                  std::string::npos)
+            << e.what();
+      }
+      EXPECT_EQ(ind, (std::vector<GlobalIndex>{3, bad, 4}));
+      EXPECT_TRUE(h.entries().empty());
+      EXPECT_EQ(h.stats().inserts + h.stats().hits, 0u);
+      // Nothing sized by the bad value: one directory slot, one page.
+      EXPECT_LE(h.index_bytes(), sizeof(std::int32_t) * (1 + 64));
+    }
+    // No stamp leaked: the table still takes 64 good arrays.
+    for (int i = 0; i < 64; ++i) {
+      std::vector<GlobalIndex> ind{3, 9};
+      h.hash(c, t, ind);
+    }
+    EXPECT_EQ(h.find(9)->local_index, 9);
+  });
+}
+
+TEST(IndexHashTable, CompactFreesPagesOfDeadEntries) {
+  Machine m(1);
+  m.run([](Comm& c) {
+    std::vector<int> full(4096, 0);
+    auto t = TranslationTable::from_full_map(c, full);
+    IndexHashTable h(4096);
+    std::vector<GlobalIndex> low, high;
+    for (GlobalIndex g = 0; g < 2048; g += 3) low.push_back(g);
+    for (GlobalIndex g = 2048; g < 4096; g += 3) high.push_back(g);
+    const Stamp s_low = h.hash(c, t, low);
+    h.hash(c, t, high);
+    h.compact();  // nothing dead yet: packs the slab to the live pages
+    const std::size_t full_bytes = h.footprint_bytes();
+    const std::size_t full_index = h.index_bytes();
+    h.clear_stamp(s_low);
+    h.compact();
+    EXPECT_LT(h.footprint_bytes(), full_bytes);
+    // Half the pages died; the directory stays.
+    EXPECT_EQ(h.index_bytes(), full_index - 32 * 64 * sizeof(std::int32_t));
+    EXPECT_EQ(h.find(0), nullptr);
+    EXPECT_EQ(h.find(2048 + 3)->local_index, 2048 + 3);
+  });
+}
+
+TEST(IndexHashTable, SparseRandomReferencesStayWithinFourBytesPerId) {
+  Machine m(1);
+  m.run([](Comm& c) {
+    constexpr GlobalIndex kN = 64000;
+    std::vector<int> full(kN, 0);
+    auto t = TranslationTable::from_full_map(c, full);
+    IndexHashTable h(kN);
+    Rng rng(5);
+    const std::size_t bound =
+        sizeof(std::int32_t) * static_cast<std::size_t>(kN + kN / 64);
+    for (int round = 0; round < 8; ++round) {
+      std::vector<GlobalIndex> ind(2000);
+      for (GlobalIndex& g : ind)
+        g = static_cast<GlobalIndex>(rng.below(static_cast<std::uint64_t>(kN)));
+      h.hash(c, t, ind);
+      EXPECT_LE(h.index_bytes(), bound) << "round " << round;
+    }
+    EXPECT_GT(h.index_bytes(), 0u);
   });
 }
 

@@ -599,6 +599,87 @@ TEST(RuntimeCompact, WireBufferPoolIsBoundedAndReleased) {
   });
 }
 
+// The blocking executor keeps its wire buffers too: after two halo-shaped
+// steps through rt.gather / rt.scatter_add, the rest allocate nothing new
+// (the pool holds at most two spares per peer), the async engine is never
+// touched, and compact() hands the pool back with exact accounting. Each
+// rank sends the same messages and bytes, ends at the same virtual time,
+// and computes the same values as through the core:: wrappers, which post
+// on a throwaway engine per call.
+TEST(RuntimeCompact, BlockingExecutorReusesItsWireBuffers) {
+  constexpr GlobalIndex kN = 4000;
+  constexpr int kP = 4;
+  constexpr int kSteps = 50;
+  std::vector<sim::RankStats> stats[2];
+  std::vector<std::vector<double>> forces[2];
+  for (int pooled = 1; pooled >= 0; --pooled) {
+    forces[pooled].resize(kP);
+    Machine m(kP);
+    m.run([&](Comm& comm) {
+      Runtime rt(comm);
+      rt.set_schedule_compilation(false);  // the wrappers run uncompiled
+      const DistHandle d = rt.block(kN);
+      const std::vector<GlobalIndex> mine = rt.owned_globals(d);
+      Rng rng(23 + static_cast<std::uint64_t>(comm.rank()));
+      std::vector<GlobalIndex> refs;
+      for (GlobalIndex g : mine) {
+        refs.push_back((g + kN / 8) % kN);
+        if (g % 3 == 0)
+          refs.push_back(static_cast<GlobalIndex>(
+              rng.below(static_cast<std::uint64_t>(kN))));
+      }
+      lang::IndirectionArray ind(std::move(refs));
+      const ScheduleHandle h = rt.inspect(d, ind);
+      const auto extent = static_cast<std::size_t>(rt.extent(h));
+      std::vector<double> x(extent, 0.0), f(extent, 0.0);
+      for (std::size_t i = 0; i < mine.size(); ++i)
+        x[i] = static_cast<double>(mine[i]) + 0.25;
+
+      const comm::Engine& blocking = rt.blocking_engine();
+      std::size_t two_steps = 0, spares = 0;
+      for (int s = 0; s < kSteps; ++s) {
+        if (pooled) {
+          rt.gather<double>(h, std::span<double>{x});
+        } else {
+          core::gather<double>(comm, rt.schedule(h), std::span<double>{x});
+        }
+        for (std::size_t i = 0; i < extent; ++i) f[i] = 0.5 * x[i] + f[i];
+        if (pooled) {
+          rt.scatter_add<double>(h, std::span<double>{f});
+        } else {
+          core::scatter_add<double>(comm, rt.schedule(h),
+                                    std::span<double>{f});
+        }
+        if (s == 1) {
+          two_steps = blocking.footprint_bytes();
+          spares = blocking.spare_payloads();
+        }
+      }
+      forces[pooled][static_cast<std::size_t>(comm.rank())] = f;
+      if (!pooled) return;
+      EXPECT_GT(spares, 0u);
+      EXPECT_LE(spares, 2u * (kP - 1));
+      EXPECT_EQ(blocking.spare_payloads(), spares);
+      EXPECT_EQ(blocking.footprint_bytes(), two_steps);
+      EXPECT_EQ(rt.engine().footprint_bytes(), 0u);
+
+      const std::size_t bytes = rt.registry_bytes();
+      const std::size_t released = rt.compact();
+      EXPECT_GE(released, two_steps);
+      EXPECT_EQ(rt.registry_bytes(), bytes - released);
+      EXPECT_EQ(blocking.footprint_bytes(), 0u);
+    });
+    for (int r = 0; r < kP; ++r) stats[pooled].push_back(m.stats(r));
+  }
+  for (int r = 0; r < kP; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    EXPECT_EQ(stats[1][i].msgs_sent, stats[0][i].msgs_sent) << "rank " << r;
+    EXPECT_EQ(stats[1][i].bytes_sent, stats[0][i].bytes_sent) << "rank " << r;
+    EXPECT_EQ(stats[1][i].clock, stats[0][i].clock) << "rank " << r;
+    EXPECT_TRUE(bitwise_equal(forces[1][i], forces[0][i])) << "rank " << r;
+  }
+}
+
 TEST(RuntimeCompact, IsIdempotentAndNoOpWithoutRetiredEpochs) {
   Machine m(1);
   m.run([](Comm& comm) {
